@@ -11,14 +11,14 @@ structures keeps the analysis efficient.  This bench measures
 * the engine-architecture counters: worklist pops stay strictly below the
   seed's rounds x procedures product, the memoized transfer cache answers
   re-analyses, and the :class:`AnalysisStats` snapshot is written to
-  ``BENCH_analysis.json`` for CI to pick up.
+  ``bench-artifacts/BENCH_analysis.json`` (git-ignored) for CI to pick up.
 """
 
 import json
 import time
-from pathlib import Path
 
 import pytest
+from conftest import FRESH_STATS_ARTIFACT
 
 from repro.analysis import analyze_many, analyze_program, analyze_program_reference
 from repro.analysis.limits import AnalysisLimits
@@ -33,11 +33,11 @@ from repro.workloads import (
 )
 from repro.workloads.generators import GeneratorConfig, generate_scenarios
 
-#: Stats artifact consumed by the CI bench-smoke job (repo root).  The
-#: committed copy doubles as the cold-median ratchet baseline, so the
-#: timing population below must stay identical to the CI ratchet job's
+#: Stats artifact consumed by the CI bench-smoke job.  It has the layout of
+#: the committed ``BENCH_analysis.json`` ratchet baseline, so the timing
+#: population below must stay identical to the CI ratchet job's
 #: ``bench --time --seeds 12 --family dag,deep,mixed`` invocation.
-STATS_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_analysis.json"
+STATS_ARTIFACT = FRESH_STATS_ARTIFACT
 
 #: The ratchet population: every named workload plus the widening-heavy
 #: generated families, with the bench CLI's default generator knobs.
@@ -150,7 +150,7 @@ def test_ext_analysis_worklist_and_cache_stats():
       transfer cache (nonzero hit rate; in fact 100%).
 
     Writes the aggregate :class:`AnalysisStats` snapshot to
-    ``BENCH_analysis.json``.
+    ``bench-artifacts/BENCH_analysis.json``.
     """
     banner("EXT-D' — worklist + transfer-cache statistics")
     print(
@@ -255,5 +255,6 @@ def test_ext_analysis_worklist_and_cache_stats():
         "timing": timing,
         "tails": tails,
     }
+    STATS_ARTIFACT.parent.mkdir(exist_ok=True)
     STATS_ARTIFACT.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {STATS_ARTIFACT}")

@@ -14,15 +14,7 @@ Quickstart::
     parallel = parallelize_program(core, info)
 """
 
-from .sil import (
-    ast,
-    builder,
-    check_program,
-    format_program,
-    normalize_program,
-    parse_and_normalize,
-    parse_program,
-)
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
@@ -38,6 +30,21 @@ __all__ = [
     "parallelize_program",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".sil": (
+            "ast",
+            "builder",
+            "parse_program",
+            "parse_and_normalize",
+            "normalize_program",
+            "check_program",
+            "format_program",
+        ),
+    },
+)
 
 
 def analyze_program(program, info=None, **kwargs):

@@ -7,54 +7,7 @@ entry matrices (with ``h*``/``h**`` symbolic handles), procedure summaries
 (read-only vs. update arguments) and structure diagnostics.
 """
 
-from .context import AnalysisContext, AnalysisRecorder, AnalysisStats
-from .engine import (
-    AnalysisResult,
-    BatchAnalyzer,
-    analyze_many,
-    analyze_program,
-    analyze_program_adaptive,
-    analyze_program_reference,
-)
-from .limits import DEFAULT_LIMITS, AdaptiveLimits, AnalysisLimits
-from .telemetry import WideningTally, widening_scope
-from .pipeline import pass_names, run_pipeline
-from .matrix import MatrixRow, PathMatrix, caller_symbol, is_symbolic, row_delta, stacked_symbol
-from .paths import (
-    Direction,
-    Path,
-    PathSegment,
-    append_link,
-    cancel_first,
-    concat,
-    format_path,
-    link_path,
-    make_path,
-    parse_path,
-    subsumes,
-)
-from .pathset import PathSet
-from .reanalysis import (
-    IncrementalSession,
-    ReanalysisReport,
-    VisitMemo,
-    cold_solve,
-    result_digest,
-)
-from .structure import Certainty, DiagnosticKind, StructureDiagnostic
-from .summaries import ProcedureSummary, compute_summaries
-from .transfer import (
-    GLOBAL_TRANSFER_CACHE,
-    TransferCache,
-    TransferResult,
-    apply_assign_new,
-    apply_assign_nil,
-    apply_basic_statement,
-    apply_basic_statement_cached,
-    apply_copy,
-    apply_load_field,
-    apply_store_field,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "analyze_program",
@@ -112,3 +65,38 @@ __all__ = [
     "cold_solve",
     "result_digest",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".context": ("AnalysisContext", "AnalysisRecorder", "AnalysisStats"),
+        ".engine": (
+            "AnalysisResult", "BatchAnalyzer", "analyze_many", "analyze_program",
+            "analyze_program_adaptive", "analyze_program_reference",
+        ),
+        ".limits": ("DEFAULT_LIMITS", "AdaptiveLimits", "AnalysisLimits"),
+        ".telemetry": ("WideningTally", "widening_scope"),
+        ".pipeline": ("pass_names", "run_pipeline"),
+        ".matrix": (
+            "MatrixRow", "PathMatrix", "caller_symbol", "is_symbolic", "row_delta",
+            "stacked_symbol",
+        ),
+        ".paths": (
+            "Direction", "Path", "PathSegment", "append_link", "cancel_first", "concat",
+            "format_path", "link_path", "make_path", "parse_path", "subsumes",
+        ),
+        ".pathset": ("PathSet",),
+        ".reanalysis": (
+            "IncrementalSession", "ReanalysisReport", "VisitMemo", "cold_solve",
+            "result_digest",
+        ),
+        ".structure": ("Certainty", "DiagnosticKind", "StructureDiagnostic"),
+        ".summaries": ("ProcedureSummary", "compute_summaries"),
+        ".transfer": (
+            "GLOBAL_TRANSFER_CACHE", "TransferCache", "TransferResult",
+            "apply_assign_new", "apply_assign_nil", "apply_basic_statement",
+            "apply_basic_statement_cached", "apply_copy", "apply_load_field",
+            "apply_store_field",
+        ),
+    },
+)

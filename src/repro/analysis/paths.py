@@ -66,16 +66,6 @@ class Direction(enum.Enum):
             return Direction.RIGHT
         raise ValueError(f"{field} is not a link field")
 
-    def could_match(self, field: Field) -> bool:
-        """Can an edge in this direction be the given concrete link field?"""
-        if self is Direction.DOWN:
-            return True
-        return self is Direction.of_field(field)
-
-    def certainly_matches(self, field: Field) -> bool:
-        """Is an edge in this direction *guaranteed* to be the given field?"""
-        return self is not Direction.DOWN and self is Direction.of_field(field)
-
     def join(self, other: "Direction") -> "Direction":
         """The least direction covering both (L join R = D)."""
         if self is other:
@@ -299,11 +289,6 @@ class Path:
     def is_same(self) -> bool:
         """True for the ``S`` path ("the two handles name the same node")."""
         return not self.packed
-
-    @property
-    def is_exact_length(self) -> bool:
-        """True if every segment has an exact count."""
-        return all(value & _EXACT for value in self.packed)
 
     def as_definite(self) -> "Path":
         return self if self.definite else self._variant()
@@ -637,16 +622,6 @@ def generalize_pair(first: Path, second: Path, limits: AnalysisLimits = DEFAULT_
             break
     count = max(1, min(min_length, limits.max_open_count))
     return Path._of_packed((direction | (count << _COUNT_SHIFT),), False)
-
-
-def paths_equivalent(first: Path, second: Path) -> bool:
-    """Equality ignoring the definite/possible attribute."""
-    return first.packed == second.packed
-
-
-def _segment_covers(general: PathSegment, specific: PathSegment) -> bool:
-    """Does every edge sequence matching ``specific`` also match ``general``?"""
-    return _packed_covers(general.packed, specific.packed)
 
 
 def _packed_covers(general: int, specific: int) -> bool:

@@ -26,10 +26,10 @@ diagnostics for updates) and never modify their argument.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from ..cache.policy import PolicyCache
 from ..faults import fault_fire
 from ..obs.trace import span
 from ..sil import ast
@@ -41,15 +41,17 @@ from .pathset import PathSet
 from .structure import StructureDiagnostic, cycle_diagnostic, sharing_diagnostic
 from .telemetry import WideningTally, widening_scope
 
-# Imported after the sibling analysis modules above: repro.cache's package
-# init pulls in the codec, which reads those modules back.
-from ..cache.policy import PolicyCache
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache.backend import CacheBackend
 
 
-logger = logging.getLogger("repro.analysis.transfer")
+def _logger():
+    """This module's logger, imported on first use: only a failing
+    persistent backend ever logs, so a healthy run never loads logging."""
+    import logging
+
+    return logging.getLogger("repro.analysis.transfer")
+
 
 #: Consecutive backend errors tolerated before the circuit breaker trips
 #: and the cache drops to memory-only mode for the rest of the run.
@@ -478,7 +480,7 @@ class TransferCache:
         the run proceeds memory-only.
         """
         self.backend_errors += 1
-        logger.warning(
+        _logger().warning(
             "persistent cache %s failed (%s: %s) [error %d/%d before breaker]",
             operation,
             type(error).__name__,
@@ -487,7 +489,7 @@ class TransferCache:
             self.breaker_threshold,
         )
         if self.backend_errors >= self.breaker_threshold and self.backend is not None:
-            logger.warning(
+            _logger().warning(
                 "persistent-cache circuit breaker tripped after %d backend errors; "
                 "dropping to memory-only mode for the rest of this run",
                 self.backend_errors,
@@ -496,7 +498,7 @@ class TransferCache:
             try:
                 self.backend.close()
             except Exception:  # noqa: BLE001 - the backend is already failing
-                logger.debug("backend close failed while degrading", exc_info=True)
+                _logger().debug("backend close failed while degrading", exc_info=True)
             self.backend = None
 
     def load_persistent(
@@ -541,7 +543,7 @@ class TransferCache:
         except CacheDecodeError:
             self.quarantined += 1
             if pending_payload is None:
-                logger.warning(
+                _logger().warning(
                     "quarantined corrupt cache entry %s (discarded; treated as a miss)",
                     persistent_key,
                 )

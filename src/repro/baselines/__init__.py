@@ -10,7 +10,14 @@ Both plug into :func:`repro.parallel.parallelize_program` in place of the
 default :class:`~repro.parallel.oracle.PathMatrixOracle`.
 """
 
-from .conservative import ConservativeOracle
-from .regions import RegionOracle
+from .._lazy import lazy_exports
 
 __all__ = ["ConservativeOracle", "RegionOracle"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".conservative": ("ConservativeOracle",),
+        ".regions": ("RegionOracle",),
+    },
+)

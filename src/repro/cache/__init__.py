@@ -24,25 +24,7 @@ and the sharded suite runner (:mod:`repro.workloads.suite`) accept a
 / ``--cache-policy`` plus the ``repro cache stats|clear`` subcommand.
 """
 
-from .backend import (
-    BACKENDS,
-    DEFAULT_STORE_CAPACITY,
-    CacheBackend,
-    CacheConfig,
-    open_backend,
-)
-from .codec import (
-    CODEC_VERSION,
-    CacheDecodeError,
-    canonical_matrix,
-    canonical_statement,
-    decode_entry,
-    encode_entry,
-    transfer_key,
-)
-from .disk import STORE_FILENAME, DiskBackend
-from .memory import MemoryBackend, reset_memory_backends, shared_memory_backend
-from .policy import POLICIES, PolicyCache
+from .._lazy import lazy_exports
 
 __all__ = [
     "BACKENDS",
@@ -65,3 +47,20 @@ __all__ = [
     "shared_memory_backend",
     "transfer_key",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".backend": (
+            "BACKENDS", "DEFAULT_STORE_CAPACITY", "CacheBackend", "CacheConfig",
+            "open_backend",
+        ),
+        ".codec": (
+            "CODEC_VERSION", "CacheDecodeError", "canonical_matrix",
+            "canonical_statement", "decode_entry", "encode_entry", "transfer_key",
+        ),
+        ".disk": ("STORE_FILENAME", "DiskBackend"),
+        ".memory": ("MemoryBackend", "reset_memory_backends", "shared_memory_backend"),
+        ".policy": ("POLICIES", "PolicyCache"),
+    },
+)

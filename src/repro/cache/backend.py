@@ -21,7 +21,6 @@ payload instead, and each worker opens its own backend from it
 
 from __future__ import annotations
 
-import sqlite3
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -38,13 +37,6 @@ from .policy import POLICIES
 
 #: Backend kinds :func:`open_backend` understands.
 BACKENDS = ("memory", "disk")
-
-#: The exception surface a persistent backend is allowed to fail with.
-#: The transfer layer catches exactly these around every backend call —
-#: counting them toward its circuit breaker instead of raising into the
-#: analysis hot path — so a backend that fails with anything else is a
-#: bug, not an operational fault.
-BACKEND_ERRORS: Tuple[type, ...] = (sqlite3.Error, OSError)
 
 #: Default cap on persistent-store *entries* (not bytes).  Transfer payloads
 #: are small (a few hundred bytes), so the default bounds the store around
@@ -151,3 +143,20 @@ def open_backend(config: CacheConfig) -> CacheBackend:
     from .disk import DiskBackend
 
     return DiskBackend(config.directory, policy=config.policy, capacity=config.capacity)
+
+
+def __getattr__(name: str) -> object:
+    # ``BACKEND_ERRORS`` — the exception surface a persistent backend is
+    # allowed to fail with, ``(sqlite3.Error, OSError)``.  The transfer
+    # layer catches exactly these around every backend call, counting them
+    # toward its circuit breaker instead of raising into the analysis hot
+    # path, so a backend that fails with anything else is a bug, not an
+    # operational fault.  Resolved on first use so that a run without a
+    # persistent tier never imports sqlite3.
+    if name == "BACKEND_ERRORS":
+        import sqlite3
+
+        errors: Tuple[type, ...] = (sqlite3.Error, OSError)
+        globals()[name] = errors
+        return errors
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

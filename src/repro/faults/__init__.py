@@ -14,18 +14,7 @@ See ``docs/architecture.md`` §"Failure modes & degradation" for the fault
 taxonomy and which layer tolerates which fault.
 """
 
-from .inject import (
-    FaultInjector,
-    InjectedWorkerCrash,
-    current_fault_plan,
-    current_injector,
-    fault_fire,
-    fault_scope,
-    injected_counts,
-    install_fault_plan,
-    uninstall_fault_plan,
-)
-from .plan import FAULT_KINDS, KNOWN_SITES, FaultPlan, FaultRule
+from .._lazy import lazy_exports
 
 __all__ = [
     "FAULT_KINDS",
@@ -42,3 +31,15 @@ __all__ = [
     "install_fault_plan",
     "uninstall_fault_plan",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".inject": (
+            "FaultInjector", "InjectedWorkerCrash", "current_fault_plan",
+            "current_injector", "fault_fire", "fault_scope", "injected_counts",
+            "install_fault_plan", "uninstall_fault_plan",
+        ),
+        ".plan": ("FAULT_KINDS", "KNOWN_SITES", "FaultPlan", "FaultRule"),
+    },
+)

@@ -22,7 +22,6 @@ identically run over run — which is what lets the chaos suite assert
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -50,6 +49,8 @@ def draw(seed: int, site: str, kind: str, full_key: str) -> float:
     every process that evaluates the same coordinates — regardless of which
     pool worker picked up the payload, and regardless of evaluation order.
     """
+    import hashlib
+
     digest = hashlib.sha256(
         f"{seed}|{site}|{kind}|{full_key}".encode("utf-8")
     ).digest()
@@ -108,9 +109,6 @@ class FaultPlan:
         for rule in self.rules:
             rule.validated()
         return self
-
-    def rules_for(self, site: str) -> Tuple[FaultRule, ...]:
-        return tuple(rule for rule in self.rules if rule.site == site)
 
     def describe(self) -> List[str]:
         """The rules back in their CLI spec form (for artifacts/logs)."""

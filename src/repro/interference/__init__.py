@@ -1,42 +1,6 @@
 """Interference analysis (Section 5): basic statements, procedure calls, sequences."""
 
-from .alias import alias_set, must_alias_set, relative_alias_set
-from .basic import (
-    InterferenceReport,
-    can_execute_in_parallel,
-    extend_parallel_group,
-    greedy_parallel_groups,
-    group_interference,
-    interference_set,
-    statements_interfere,
-)
-from .calls import CallInterferenceReport, calls_independent, calls_interfere
-from .locations import (
-    Location,
-    LocationKind,
-    RelativeLocation,
-    field_location,
-    relative_field_location,
-    relative_var_location,
-    var_location,
-)
-from .readwrite import (
-    condition_read_set,
-    read_set,
-    relative_read_set,
-    relative_write_set,
-    write_set,
-)
-from .sequences import (
-    SequenceInterferenceReport,
-    live_in_handles,
-    matrices_along,
-    relative_locations_overlap,
-    sequence_relative_reads,
-    sequence_relative_writes,
-    sequences_independent,
-    sequences_interfere,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Location",
@@ -73,3 +37,29 @@ __all__ = [
     "sequence_relative_writes",
     "relative_locations_overlap",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".alias": ("alias_set", "must_alias_set", "relative_alias_set"),
+        ".basic": (
+            "InterferenceReport", "can_execute_in_parallel", "extend_parallel_group",
+            "greedy_parallel_groups", "group_interference", "interference_set",
+            "statements_interfere",
+        ),
+        ".calls": ("CallInterferenceReport", "calls_independent", "calls_interfere"),
+        ".locations": (
+            "Location", "LocationKind", "RelativeLocation", "field_location",
+            "relative_field_location", "relative_var_location", "var_location",
+        ),
+        ".readwrite": (
+            "condition_read_set", "read_set", "relative_read_set", "relative_write_set",
+            "write_set",
+        ),
+        ".sequences": (
+            "SequenceInterferenceReport", "live_in_handles", "matrices_along",
+            "relative_locations_overlap", "sequence_relative_reads",
+            "sequence_relative_writes", "sequences_independent", "sequences_interfere",
+        ),
+    },
+)

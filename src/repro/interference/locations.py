@@ -41,10 +41,6 @@ class LocationKind(enum.Enum):
             Field.VALUE: LocationKind.VALUE,
         }[field]
 
-    @property
-    def is_field(self) -> bool:
-        return self is not LocationKind.VAR
-
 
 @dataclass(frozen=True)
 class Location:

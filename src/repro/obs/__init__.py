@@ -23,25 +23,7 @@ See ``docs/architecture.md`` §"Observability" for the span taxonomy and
 metric naming scheme.
 """
 
-from .metrics import (
-    DEFAULT_COUNT_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    latency_tails,
-    render_prometheus,
-)
-from .trace import (
-    Tracer,
-    current_tracer,
-    install_tracer,
-    span,
-    stopwatch,
-    tracing_enabled,
-    uninstall_tracer,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -60,3 +42,17 @@ __all__ = [
     "tracing_enabled",
     "uninstall_tracer",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": (
+            "DEFAULT_COUNT_BUCKETS", "DEFAULT_LATENCY_BUCKETS", "Counter", "Gauge",
+            "Histogram", "MetricsRegistry", "latency_tails", "render_prometheus",
+        ),
+        ".trace": (
+            "Tracer", "current_tracer", "install_tracer", "span", "stopwatch",
+            "tracing_enabled", "uninstall_tracer",
+        ),
+    },
+)

@@ -30,7 +30,6 @@ exposition the daemon's ``metrics`` op serves.
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -303,6 +302,8 @@ class MetricsRegistry:
 
     def canonical(self) -> str:
         """Key-sorted minified JSON — the byte-identity form the tests pin."""
+        import json
+
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
     # ------------------------------------------------------------------

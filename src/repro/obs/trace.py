@@ -36,7 +36,6 @@ document / a one-event-per-line log.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -229,6 +228,8 @@ class Tracer:
 
     def write_chrome(self, path: str) -> int:
         """Write the Chrome trace JSON; returns the number of span events."""
+        import json
+
         document = self.chrome_trace()
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=1, sort_keys=True)
@@ -237,6 +238,8 @@ class Tracer:
 
     def write_jsonl(self, path: str) -> int:
         """Write one JSON event per line (append-friendly log form)."""
+        import json
+
         events = sorted(
             self.events(), key=lambda e: (e.get("ts", 0), e.get("pid", 0), e.get("tid", 0))
         )

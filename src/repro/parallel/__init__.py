@@ -1,26 +1,6 @@
 """Parallelization: dependence oracles, the Figure 8 transformation, speedup model."""
 
-from .oracle import (
-    DependenceOracle,
-    PathMatrixOracle,
-    batch_oracles,
-    is_call,
-    is_groupable,
-    parallelism_census,
-)
-from .schedule import (
-    DEFAULT_PROCESSORS,
-    ParallelismReport,
-    SpeedupRow,
-    build_report,
-    greedy_time,
-)
-from .transform import (
-    ParallelizationResult,
-    ParallelizationStats,
-    Parallelizer,
-    parallelize_program,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "DependenceOracle",
@@ -39,3 +19,21 @@ __all__ = [
     "greedy_time",
     "DEFAULT_PROCESSORS",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".oracle": (
+            "DependenceOracle", "PathMatrixOracle", "batch_oracles", "is_call",
+            "is_groupable", "parallelism_census",
+        ),
+        ".schedule": (
+            "DEFAULT_PROCESSORS", "ParallelismReport", "SpeedupRow", "build_report",
+            "greedy_time",
+        ),
+        ".transform": (
+            "ParallelizationResult", "ParallelizationStats", "Parallelizer",
+            "parallelize_program",
+        ),
+    },
+)

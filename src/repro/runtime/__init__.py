@@ -1,23 +1,6 @@
 """Runtime substrate: heap, interpreter, structure checks and race detection."""
 
-from .heap import Heap, Node, TreeSpec
-from .interpreter import CostModel, Frame, Interpreter, run_program, run_source
-from .structure import (
-    StructureKind,
-    StructureReport,
-    classify_structure,
-    is_dag,
-    is_tree,
-    subtrees_disjoint,
-)
-from .trace import (
-    AccessSet,
-    ExecutionResult,
-    FieldLocation,
-    RaceReport,
-    VarLocation,
-)
-from .values import HandleValue, NodeRef, Value, format_value
+from .._lazy import lazy_exports
 
 __all__ = [
     "Heap",
@@ -44,3 +27,22 @@ __all__ = [
     "HandleValue",
     "format_value",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".heap": ("Heap", "Node", "TreeSpec"),
+        ".interpreter": (
+            "CostModel", "Frame", "Interpreter", "run_program", "run_source",
+        ),
+        ".structure": (
+            "StructureKind", "StructureReport", "classify_structure", "is_dag",
+            "is_tree", "subtrees_disjoint",
+        ),
+        ".trace": (
+            "AccessSet", "ExecutionResult", "FieldLocation", "RaceReport",
+            "VarLocation",
+        ),
+        ".values": ("HandleValue", "NodeRef", "Value", "format_value"),
+    },
+)

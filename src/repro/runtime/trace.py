@@ -128,12 +128,6 @@ class ExecutionResult:
     def race_free(self) -> bool:
         return not self.races
 
-    def speedup_over(self, sequential: "ExecutionResult") -> float:
-        """Ideal speedup of this run relative to a sequential run's span."""
-        if self.span == 0:
-            return 1.0
-        return sequential.span / self.span
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         return (

@@ -15,10 +15,7 @@ a small length-prefixed JSON protocol.
   ``repro client`` CLI and the protocol test-suites share.
 """
 
-from .client import AnalysisClient, ProtocolMismatch, ServerError
-from .daemon import AnalysisServer, ServerConfig, run_server
-from .protocol import DEFAULT_MAX_FRAME, PROTOCOL_VERSION, SERVER_NAME
-from .service import AnalysisService, RequestError
+from .._lazy import lazy_exports
 
 __all__ = [
     "AnalysisClient",
@@ -33,3 +30,13 @@ __all__ = [
     "ServerError",
     "run_server",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".client": ("AnalysisClient", "ProtocolMismatch", "ServerError"),
+        ".daemon": ("AnalysisServer", "ServerConfig", "run_server"),
+        ".protocol": ("DEFAULT_MAX_FRAME", "PROTOCOL_VERSION", "SERVER_NAME"),
+        ".service": ("AnalysisService", "RequestError"),
+    },
+)

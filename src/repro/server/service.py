@@ -52,6 +52,13 @@ from ..sil.normalize import parse_and_normalize
 from ..workloads.generators import FAMILIES, GeneratorConfig, generate_scenarios
 from ..workloads.suite import WORKLOADS, ShardedSuiteReport, ShardedSuiteRunner, source
 
+# Loaded for effect.  The one-shot CLI defers the persistent tier's codec
+# and error surface (sqlite3) until a lookup needs them; the daemon imports
+# them up front with everything else its ops run, so that no request pays
+# a module's compile and import cost.
+from ..cache import codec  # noqa: E402,F401
+from ..cache.backend import BACKEND_ERRORS  # noqa: E402,F401
+
 #: Operations the service implements (the daemon adds ping/protocol_version,
 #: which never reach the service).
 SERVICE_OPS = ("analyze", "bench", "reanalyze", "cache_stats", "metrics")

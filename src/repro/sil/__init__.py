@@ -5,33 +5,7 @@ lexer, parser, type checker, normalizer (lowering to basic handle
 statements), pretty printer and a programmatic builder API.
 """
 
-from . import ast, builder
-from .delta import (
-    ProcedureDelta,
-    ProgramDelta,
-    call_graph,
-    diff_programs,
-    dirty_seed,
-    reverse_call_graph,
-    statement_identity,
-    statement_label,
-    statement_rebase_map,
-)
-from .errors import (
-    LexError,
-    NormalizationError,
-    ParseError,
-    SilError,
-    SilRuntimeError,
-    SourceLocation,
-    StructureViolation,
-    TypeCheckError,
-)
-from .lexer import Token, TokenKind, tokenize
-from .normalize import normalize_program, parse_and_normalize
-from .parser import parse_expression, parse_program, parse_statement
-from .printer import format_expr, format_procedure, format_program, format_stmt
-from .typecheck import ExprType, ProcedureTypes, TypeChecker, TypeInfo, check_program
+from .._lazy import lazy_exports
 
 __all__ = [
     "ast",
@@ -71,3 +45,28 @@ __all__ = [
     "statement_label",
     "statement_rebase_map",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".delta": (
+            "ProcedureDelta", "ProgramDelta", "call_graph", "diff_programs",
+            "dirty_seed", "reverse_call_graph", "statement_identity", "statement_label",
+            "statement_rebase_map",
+        ),
+        ".errors": (
+            "LexError", "NormalizationError", "ParseError", "SilError",
+            "SilRuntimeError", "SourceLocation", "StructureViolation", "TypeCheckError",
+        ),
+        ".lexer": ("Token", "TokenKind", "tokenize"),
+        ".normalize": ("normalize_program", "parse_and_normalize"),
+        ".parser": ("parse_expression", "parse_program", "parse_statement"),
+        ".printer": (
+            "format_expr", "format_procedure", "format_program", "format_stmt",
+        ),
+        ".typecheck": (
+            "ExprType", "ProcedureTypes", "TypeChecker", "TypeInfo", "check_program",
+        ),
+    },
+    submodules=("ast", "builder"),
+)

@@ -337,10 +337,6 @@ class Procedure(Node):
     body: Block = field(default_factory=Block)
 
     @property
-    def param_names(self) -> List[str]:
-        return [p.name for p in self.params]
-
-    @property
     def handle_params(self) -> List[str]:
         return [p.name for p in self.params if p.type is SilType.HANDLE]
 
@@ -486,19 +482,6 @@ def names_in_expr(expr: Expr) -> Iterator[str]:
     for sub in walk_expr(expr):
         if isinstance(sub, Name):
             yield sub.ident
-
-
-def is_basic_handle_stmt(stmt: Stmt) -> bool:
-    """True for basic statements that read or write handles/fields.
-
-    These are the statement forms of interest for interference analysis
-    (Section 4 of the paper); :class:`ScalarAssign` is a basic statement but
-    touches no handle.
-    """
-    return isinstance(
-        stmt,
-        (AssignNil, AssignNew, CopyHandle, LoadField, StoreField, LoadValue, StoreValue),
-    )
 
 
 def is_core_stmt(stmt: Stmt) -> bool:

@@ -60,9 +60,6 @@ class ProcedureTypes:
     def handle_variables(self) -> List[str]:
         return [n for n, t in self.variables.items() if t is ast.SilType.HANDLE]
 
-    def int_variables(self) -> List[str]:
-        return [n for n, t in self.variables.items() if t is ast.SilType.INT]
-
 
 @dataclass
 class TypeInfo:

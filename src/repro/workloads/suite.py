@@ -23,8 +23,6 @@ external input.
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_module
 import re
 import time
 from dataclasses import dataclass, field
@@ -53,10 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .generators import Scenario
 
 #: One shard's work order: (index, (name, source) pairs, limits, cache
-#: config, eviction policy, fault plan, attempt).  ``attempt`` starts at 0
-#: and counts up on every requeue of the same workloads after a worker
-#: crash, bounding retries and giving the crash-injection site a fresh
-#: deterministic draw per attempt.
+#: config, eviction policy, fault plan, attempt, census).  ``attempt``
+#: starts at 0 and counts up on every requeue of the same workloads after a
+#: worker crash, bounding retries and giving the crash-injection site a
+#: fresh deterministic draw per attempt.  ``census`` asks the shard for a
+#: parallelism-census row per workload (see :func:`analyze_pairs`).
 ShardPayload = Tuple[
     int,
     List[Tuple[str, str]],
@@ -65,6 +64,7 @@ ShardPayload = Tuple[
     Optional[str],
     Optional["FaultPlan"],
     int,
+    bool,
 ]
 
 #: How many times the runner attempts a workload before abandoning it into
@@ -619,7 +619,11 @@ def analyze_suite(
 
 
 def analyze_pairs(
-    batch, pairs: List[Tuple[str, str]], shard: int = 0, attempt: int = 0
+    batch,
+    pairs: List[Tuple[str, str]],
+    shard: int = 0,
+    attempt: int = 0,
+    census: bool = False,
 ) -> Dict:
     """Analyze ``(name, source)`` pairs through a caller-provided batch.
 
@@ -652,6 +656,11 @@ def analyze_pairs(
       while the call ran (fork workers inherit the parent's tables
       pre-populated, so absolute sizes would double-count the parent's
       interning).
+    * ``census`` (only with ``census=True``) — each analyzed workload's
+      :func:`~repro.parallel.oracle.parallelism_census` row, computed from
+      the very parse and :class:`AnalysisResult` the workload was just
+      analyzed into, so the census costs one transformation rather than a
+      second parse and solve.  A census that raises gets an ``error`` row.
 
     The caller keeps ownership of ``batch``: this flushes computed
     transfer deltas (one write batch per call) but never closes the
@@ -680,6 +689,7 @@ def analyze_pairs(
         results: Dict[str, Dict] = {}
         failures: Dict[str, str] = {}
         widening: Dict[str, Dict] = {}
+        census_rows: Dict[str, Dict] = {}
         crashed: Optional[Dict[str, object]] = None
         pending: List[str] = []
         for position, (name, source_text) in enumerate(pairs):
@@ -731,6 +741,9 @@ def analyze_pairs(
             except Exception as error:  # noqa: BLE001 - surfaced per workload
                 failures[name] = f"{type(error).__name__}: {error}"
                 metrics.counter("suite.workloads_failed").inc()
+                continue
+            if census:
+                census_rows[name] = _census_row(name, program, info, result)
         # Flush computed transfer deltas to the shared store (one write batch
         # per call) *before* snapshotting the counters, so the write/eviction
         # totals merge with the rest of the stats.
@@ -777,10 +790,27 @@ def analyze_pairs(
         "metrics": metrics.as_dict(),
         "seconds": clock.seconds,
     }
+    if census:
+        output["census"] = census_rows
     if crashed is not None:
         output["crashed"] = crashed
         output["pending"] = pending
     return output
+
+
+def _census_row(
+    name: str, program: ast.Program, info: TypeInfo, result: "AnalysisResult"
+) -> Dict:
+    """One workload's parallelism census over its already-computed analysis."""
+    from ..parallel.oracle import PathMatrixOracle, parallelism_census
+
+    try:
+        with span("parallel.census", {"workload": name}):
+            return parallelism_census(
+                program, info, oracle=PathMatrixOracle(analysis=result)
+            )
+    except Exception as error:  # noqa: BLE001 - surfaced per workload
+        return {"error": f"{type(error).__name__}: {error}"}
 
 
 def _analyze_shard(payload: ShardPayload) -> Dict:
@@ -806,7 +836,7 @@ def _analyze_shard(payload: ShardPayload) -> Dict:
     """
     from ..analysis.engine import BatchAnalyzer
 
-    shard_index, pairs, limits, cache, policy, faults, attempt = payload
+    shard_index, pairs, limits, cache, policy, faults, attempt, census = payload
     if faults is not None and current_fault_plan() is None:
         install_fault_plan(faults)
     rule = fault_fire("shard.worker", f"{shard_index}@{attempt}")
@@ -816,7 +846,9 @@ def _analyze_shard(payload: ShardPayload) -> Dict:
         )
     batch = BatchAnalyzer(limits=limits, cache=cache, policy=policy)
     try:
-        return analyze_pairs(batch, pairs, shard=shard_index, attempt=attempt)
+        return analyze_pairs(
+            batch, pairs, shard=shard_index, attempt=attempt, census=census
+        )
     finally:
         batch.close()
 
@@ -898,6 +930,10 @@ class ShardedSuiteReport:
     #: one: ``{name: attempts}`` where attempts includes the first try.
     #: Empty in a fault-free run.
     attempts: Dict[str, int] = field(default_factory=dict)
+    #: Per-workload parallelism-census rows, in input order, when the
+    #: runner was asked for them (``census=True``); a workload that failed
+    #: analysis has no row (its reason is in ``failures``).
+    census: Dict[str, Dict] = field(default_factory=dict)
     seconds: float = 0.0
 
     @property
@@ -984,7 +1020,9 @@ class ShardedSuiteRunner:
     payload — as does ``cache``, an optional :class:`~repro.cache.backend.
     CacheConfig` naming a persistent transfer store every shard opens
     read-through and flushes its computed deltas into on completion (the
-    cross-run warm-start path).
+    cross-run warm-start path).  ``census=True`` additionally has every
+    shard report each workload's parallelism census (see
+    :func:`analyze_pairs`) into :attr:`ShardedSuiteReport.census`.
     """
 
     def __init__(
@@ -996,6 +1034,7 @@ class ShardedSuiteRunner:
         policy: Optional[str] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        census: bool = False,
     ):
         from collections import Counter
 
@@ -1015,6 +1054,7 @@ class ShardedSuiteRunner:
         #: duration of each run (and shipped to workers in the payloads).
         self.faults = faults.validated() if faults is not None else None
         self.max_attempts = max(1, int(max_attempts))
+        self.census = census
 
     @classmethod
     def from_names(
@@ -1068,7 +1108,10 @@ class ShardedSuiteRunner:
     def _payload(
         self, index: int, pairs: List[Tuple[str, str]], attempt: int = 0
     ) -> ShardPayload:
-        return (index, pairs, self.limits, self.cache, self.policy, self.faults, attempt)
+        return (
+            index, pairs, self.limits, self.cache, self.policy, self.faults, attempt,
+            self.census,
+        )
 
     def _payloads(self, shards: int) -> List[ShardPayload]:
         buckets: List[List[Tuple[str, str]]] = [[] for _ in range(shards)]
@@ -1274,6 +1317,9 @@ class ShardedSuiteRunner:
         surviving worker; completions and worker deaths funnel through one
         thread-safe queue the parent drains in completion order.
         """
+        import multiprocessing
+        import queue as queue_module
+
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         completions: "queue_module.Queue" = queue_module.Queue()
@@ -1378,7 +1424,11 @@ class ShardedSuiteRunner:
             # warm batch, bounded by ``max_attempts``.
             while payload is not None:
                 output = analyze_pairs(
-                    batch, payload[1], shard=payload[0], attempt=payload[6]
+                    batch,
+                    payload[1],
+                    shard=payload[0],
+                    attempt=payload[6],
+                    census=payload[7],
                 )
                 payload = self._recover_poisoned(
                     output, control, attempts, allocate_index
@@ -1407,6 +1457,7 @@ class ShardedSuiteRunner:
         by_name: Dict[str, Dict] = {}
         failures: Dict[str, str] = {}
         widening_by_name: Dict[str, Dict] = {}
+        census_by_name: Dict[str, Dict] = {}
         merged_metrics = MetricsRegistry()
         for output in sorted(outputs, key=lambda o: o["shard"]):
             events = output.pop("trace_events", None)
@@ -1427,6 +1478,7 @@ class ShardedSuiteRunner:
             by_name.update(output["results"])
             failures.update(output["failures"])
             widening_by_name.update(output.get("widening", {}))
+            census_by_name.update(output.get("census", {}))
         if control is not None:
             merged_metrics.absorb(control)
         merged = AnalysisStats().merge(*(report.stats for report in shard_reports))
@@ -1449,5 +1501,10 @@ class ShardedSuiteRunner:
             intern_tables=summed_tables,
             metrics=merged_metrics,
             attempts=dict(attempts or {}),
+            census={
+                name: census_by_name[name]
+                for name, _ in self.items
+                if name in census_by_name
+            },
             seconds=seconds,
         )

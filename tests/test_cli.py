@@ -77,6 +77,66 @@ class TestAnalyzeCommand:
         assert "adaptive_escalations=" in out
 
 
+def _reference_census(name, depth):
+    """A cold in-process census: a fresh oracle over a fresh parse and cache."""
+    from repro.analysis.transfer import TransferCache
+    from repro.parallel.oracle import PathMatrixOracle, parallelism_census
+    from repro.workloads import load
+
+    program, info = load(name, depth=depth)
+    oracle = PathMatrixOracle(transfer_cache=TransferCache())
+    return parallelism_census(program, info, oracle=oracle)
+
+
+def _printed_census(out):
+    """``{name: (groups, call_groups, independent, queries)}`` from --census output."""
+    rows = {}
+    for line in out.split("parallelism census", 1)[1].splitlines()[1:]:
+        name, groups, call_groups, independent = line.split()
+        answers, queries = independent.split("=")[1].split("/")
+        rows[name] = (
+            int(groups.split("=")[1]),
+            int(call_groups.split("=")[1]),
+            int(answers),
+            int(queries),
+        )
+    return rows
+
+
+class TestCensus:
+    """``--census`` rows come from the run's own analysis and change no answer."""
+
+    @pytest.mark.parametrize("depth", [3, 4, 5])
+    def test_printed_census_matches_a_fresh_oracle(self, depth, capsys):
+        assert main(["analyze", "--depth", str(depth), "--census"]) == 0
+        printed = _printed_census(capsys.readouterr().out)
+        assert sorted(printed) == sorted(WORKLOADS)
+        for name in WORKLOADS:
+            reference = _reference_census(name, depth)
+            assert printed[name] == (
+                reference["groups"],
+                reference["call_groups"],
+                reference["independent_answers"],
+                reference["queries"],
+            ), name
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_runner_census_rows_match_a_fresh_oracle(self, shards):
+        from repro.workloads.suite import ShardedSuiteRunner, source
+
+        items = [(name, source(name, depth=4)) for name in WORKLOADS]
+        report = ShardedSuiteRunner(items, shards=shards, census=True).run()
+        assert list(report.census) == list(WORKLOADS)
+        for name in WORKLOADS:
+            assert report.census[name] == _reference_census(name, 4), name
+
+    def test_runner_without_census_reports_none(self):
+        from repro.workloads.suite import ShardedSuiteRunner, source
+
+        report = ShardedSuiteRunner([("tree_add", source("tree_add"))], shards=1).run()
+        assert report.census == {}
+
+
 class TestCacheOptions:
     def test_analyze_reports_configured_cache_size(self, capsys):
         assert main(["analyze", "tree_add", "--cache-size", "512"]) == 0
