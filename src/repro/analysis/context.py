@@ -360,12 +360,12 @@ class AnalysisContext:
     #: IncrementalSession` threads one memo through successive solves of
     #: edited program versions.
     visit_memo: Optional["VisitMemo"] = None
-    #: Epoch the in-memory transfer-cache ``id(stmt)`` keys are scoped to.
-    #: Bare contexts share epoch 0 (so ad-hoc ``analyze_program`` calls keep
-    #: hitting the process-wide cache across calls); every
-    #: :class:`~repro.analysis.engine.BatchAnalyzer` allocates a fresh epoch
-    #: so reused CPython object ids can never collide across batches.
-    memo_epoch: int = 0
+    #: Memoized call-site outcomes of this run, keyed by ``(id(stmt), input
+    #: matrix)``.  The context holds ``program``, so no statement id can be
+    #: recycled while the memo lives.  Keyed by identity, not content: an
+    #: outcome also depends on the callee's summary and formals, which the
+    #: call's text does not name.
+    call_memo: Dict[Tuple, Tuple] = field(default_factory=dict)
 
     # Filled by the pipeline passes.
     summaries: Optional[Dict[str, ProcedureSummary]] = None

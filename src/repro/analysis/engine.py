@@ -26,7 +26,6 @@ identical results.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -42,15 +41,6 @@ from .pipeline import run_pipeline
 from .structure import StructureDiagnostic
 from .summaries import ProcedureSummary, compute_summaries
 from .transfer import TransferCache
-
-#: Distinct epochs for the ``id(stmt)``-keyed in-memory transfer-cache keys.
-#: Epoch 0 is reserved for bare contexts (ad-hoc :func:`analyze_program`
-#: calls against the process-wide cache); every :class:`BatchAnalyzer`
-#: draws a fresh one, so a statement id recycled by CPython after one batch
-#: dies can never alias a live entry recorded by another batch sharing the
-#: same :class:`TransferCache`.
-_MEMO_EPOCHS = itertools.count(1)
-
 
 @dataclass
 class AnalysisResult:
@@ -273,18 +263,14 @@ class BatchAnalyzer:
     Call :meth:`flush` (or :meth:`close`) when the batch is done to write
     them back; nothing is persisted implicitly.
 
-    ``policy`` selects the in-memory eviction policy on its own — it works
-    with or without a persistent tier (defaulting to the cache config's
-    policy, then ``lru``), so policy comparisons don't require a store.
-
     ``transfer_cache`` attaches an *existing* :class:`TransferCache` —
     warm memoized transfers, persistent backend and all — instead of
     building a private one.  This is how a long-lived host (the analysis
     server in :mod:`repro.server`) gives every request a fresh
     :class:`AnalysisStats` while all requests share one warm cache: the
     batch then does **not** own the backend, so :meth:`close` flushes but
-    leaves the backend open for the next batch.  ``cache``/``policy`` are
-    rejected alongside it — the attached cache already made those choices.
+    leaves the backend open for the next batch.  ``cache`` is rejected
+    alongside it — the attached cache already made that choice.
     """
 
     def __init__(
@@ -292,23 +278,20 @@ class BatchAnalyzer:
         limits: LimitsLike = DEFAULT_LIMITS,
         entry: str = "main",
         cache: Optional[CacheConfig] = None,
-        policy: Optional[str] = None,
         transfer_cache: Optional[TransferCache] = None,
     ):
         self.limits = limits
         self.entry = entry
         self.stats = AnalysisStats()
-        #: Scopes this batch's ``id(stmt)``-keyed transfer-cache entries.
-        self.memo_epoch = next(_MEMO_EPOCHS)
         #: Cross-run procedure-visit memo; attached by
         #: :class:`repro.analysis.reanalysis.IncrementalSession`, ``None``
         #: (no cross-run reuse) for ordinary batches.
         self.visit_memo = None
         if transfer_cache is not None:
-            if cache is not None or policy is not None:
+            if cache is not None:
                 raise ValueError(
                     "BatchAnalyzer(transfer_cache=...) shares an existing cache; "
-                    "cache/policy would silently be ignored — configure them on "
+                    "cache would silently be ignored — configure it on "
                     "the shared TransferCache instead"
                 )
             self.cache_config = None
@@ -317,13 +300,7 @@ class BatchAnalyzer:
             return
         self.cache_config = cache.validated() if cache is not None else None
         backend = open_backend(self.cache_config) if self.cache_config is not None else None
-        if policy is None:
-            policy = self.cache_config.policy if self.cache_config is not None else "lru"
-        self.cache = TransferCache(
-            base_limits(limits).transfer_cache_size,
-            policy=policy,
-            backend=backend,
-        )
+        self.cache = TransferCache(base_limits(limits).transfer_cache_size, backend=backend)
         self._owns_backend = True
 
     def flush(self) -> None:
@@ -362,7 +339,6 @@ class BatchAnalyzer:
                 stats=self.stats,
                 transfer_cache=self.cache,
                 visit_memo=self.visit_memo,
-                memo_epoch=self.memo_epoch,
             )
             run_pipeline(context)
             info = context.info  # reuse type info across escalation re-runs

@@ -141,7 +141,6 @@ class ProcedureAnalyzer:
                     self.limits,
                     cache=context.transfer_cache,
                     stats=context.stats,
-                    epoch=context.memo_epoch,
                 )
             else:
                 result = apply_basic_statement(matrix, stmt, self.limits)
@@ -229,26 +228,20 @@ class ProcedureAnalyzer:
             return effect_matrix
 
         # Pipeline engine: the projection and caller-side effect are pure in
-        # (statement, input matrix), so they memoize over the input's exact
-        # content fingerprint like the basic-statement transfers — with the
-        # statement object pinned in the value and the widening events
-        # captured on the miss and replayed on every hit.  Results are
-        # sealed, not interned: the solver interns the projection itself at
-        # the entry-matrix escape point, and the effect matrix is ordinary
-        # downstream dataflow.  The *recording* of the projection still
-        # happens per visit; only its computation is shared.
+        # (statement, input matrix) within one run — the summaries and the
+        # limits are fixed per context — so they memoize in the context's
+        # call memo, with the widening events captured on the miss and
+        # replayed on every hit.  Results are sealed, not interned: the
+        # solver interns the projection itself at the entry-matrix escape
+        # point, and the effect matrix is ordinary downstream dataflow.  The
+        # *recording* of the projection still happens per visit; only its
+        # computation is shared.
         if not matrix.is_interned:
             _bump(context.stats, "lazy_intern_deferrals")
-        key = (
-            "call",
-            context.memo_epoch,
-            id(stmt),
-            self.limits,
-            matrix if matrix.is_sealed else matrix.fingerprint(),
-        )
-        cached = context.transfer_cache.get_join(key)
+        key = (id(stmt), matrix if matrix.is_sealed else matrix.fingerprint())
+        cached = context.call_memo.get(key)
         if cached is not None:
-            _stmt, projected, effect_matrix, widening = cached
+            projected, effect_matrix, widening = cached
         else:
             with widening_scope(WideningTally()) as widening:
                 projected, effect_matrix = self._call_outcome(
@@ -258,9 +251,7 @@ class ProcedureAnalyzer:
                     projected = projected.seal()
                 effect_matrix = effect_matrix.seal()
             _bump(context.stats, "scratch_matrices_elided")
-            context.transfer_cache.put_join(
-                key, (stmt, projected, effect_matrix, widening)
-            )
+            context.call_memo[key] = (projected, effect_matrix, widening)
         widening.add_into(context.stats)
         _count_rows(context.stats, matrix, effect_matrix)
         if projected is not None:

@@ -262,14 +262,12 @@ class IncrementalSession:
         limits: LimitsLike = DEFAULT_LIMITS,
         entry: str = "main",
         cache: Optional[CacheConfig] = None,
-        policy: Optional[str] = None,
         transfer_cache: Optional[TransferCache] = None,
     ):
         self.batch = BatchAnalyzer(
             limits=limits,
             entry=entry,
             cache=cache,
-            policy=policy,
             transfer_cache=transfer_cache,
         )
         self.memo = VisitMemo()

@@ -34,6 +34,7 @@ from ..faults import fault_fire
 from ..obs.trace import span
 from ..sil import ast
 from ..sil.printer import _format_inline as format_statement_inline
+from ..sil.printer import identity_label, statement_identity
 from .limits import DEFAULT_LIMITS, DEFAULT_TRANSFER_CACHE_SIZE, AnalysisLimits
 from .matrix import PathMatrix, row_delta
 from .paths import Path, append_link, cancel_first, concat, starts_with_field
@@ -347,15 +348,18 @@ def apply_basic_statement(
 
 
 class TransferCache:
-    """A size-bounded, policy-governed memo of transfer results.
+    """A size-bounded LRU memo of transfer results.
 
-    **In-memory layer.**  Keys combine ``id(stmt)`` with the input matrix's
-    exact :meth:`~repro.analysis.matrix.PathMatrix.fingerprint` (which
-    includes the :class:`AnalysisLimits`), so a hit is only possible for
-    the same statement applied to an identical matrix under identical
-    limits — the cached result is therefore exactly what recomputation
-    would produce.  The eviction policy (``lru`` / ``lfu`` / ``fifo``, see
-    :mod:`repro.cache.policy`) is selectable; evictions are counted and
+    **In-memory layer.**  Keys combine the statement's *content*
+    (:func:`~repro.sil.printer.statement_identity`: node kind plus inline
+    rendering) with the :class:`AnalysisLimits` and the input matrix (the
+    sealed matrix itself, or its exact :meth:`~repro.analysis.matrix.
+    PathMatrix.fingerprint`), so a hit is only possible for an equal
+    statement applied to an identical matrix under identical limits — the
+    cached result is therefore exactly what recomputation would produce.
+    Because the key holds no object identity, a re-parsed or re-submitted
+    program hits the entries an earlier parse recorded.  Evictions (least
+    recently used first, see :mod:`repro.cache.policy`) are counted and
     surfaced through :class:`~repro.analysis.context.AnalysisStats`.
 
     Each entry also stores the :class:`~repro.analysis.telemetry.
@@ -364,17 +368,15 @@ class TransferCache:
     then read exactly as if every application had been computed, which is
     what makes them additive across shard processes.
 
-    Each cache value keeps a strong reference to the statement object, so an
-    ``id`` can never be recycled while any entry for it is alive (entries
-    and their pins are dropped together on eviction).
-
     **Persistent tier.**  With a ``backend`` attached (see
     :mod:`repro.cache.backend`), in-memory misses read through to the
     content-addressed store under canonical, process-independent keys
     (:func:`repro.cache.codec.transfer_key`); a persistent hit is decoded,
     sealed and promoted into the in-memory layer.  Computed results are
     buffered as encoded deltas and written back in one batch by
-    :meth:`flush` — call it when a run or shard completes.
+    :meth:`flush` — call it when a run or shard completes.  The store only
+    carries results across processes (shard workers, later runs); within
+    one process the in-memory layer answers every repeat.
 
     **Degradation.**  A persistent backend may rot or fail without taking
     the analysis down: payloads that no longer decode are *quarantined*
@@ -387,7 +389,6 @@ class TransferCache:
     """
 
     __slots__ = (
-        "policy",
         "backend",
         "_entries",
         "_joins",
@@ -402,22 +403,18 @@ class TransferCache:
     def __init__(
         self,
         capacity: int = DEFAULT_TRANSFER_CACHE_SIZE,
-        policy: str = "lru",
         backend: Optional["CacheBackend"] = None,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
     ):
-        self._entries = PolicyCache(capacity, policy)
-        #: Second memo space for the *derived* pure operations over interned
-        #: matrices — control-flow joins and call-site projections/effects —
-        #: which are keyed by matrix identity and are in-memory only (they
-        #: recompute cheaply from persistent transfer hits, so they are not
-        #: worth codec space).
-        self._joins = PolicyCache(capacity, policy)
-        self.policy = policy
+        self._entries = PolicyCache(capacity)
+        #: Second memo space for control-flow joins, keyed by the operand
+        #: matrices and in-memory only (joins recompute cheaply from
+        #: persistent transfer hits, so they are not worth codec space).
+        self._joins = PolicyCache(capacity)
         self.backend = backend
         #: Encoded (key -> payload) deltas computed since the last flush.
         self._pending: Dict[str, str] = {}
-        #: Statement label of each pending key (see :func:`repro.sil.delta.
+        #: Statement label of each pending key (see :func:`repro.sil.printer.
         #: statement_label`) — flushed alongside the payloads so persistent
         #: backends can invalidate by edited statement.
         self._pending_labels: Dict[str, str] = {}
@@ -443,25 +440,21 @@ class TransferCache:
         return len(self._entries)
 
     def get(self, key: Tuple) -> Optional[Tuple[TransferResult, "WideningTally"]]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        return entry[1], entry[2]
+        return self._entries.get(key)
 
     def put(
         self,
         key: Tuple,
-        stmt: ast.BasicStmt,
         result: TransferResult,
         widening: Optional["WideningTally"] = None,
     ) -> int:
         """Admit an entry; returns the number of in-memory evictions."""
         return self._entries.put(
-            key, (stmt, result, widening if widening is not None else WideningTally())
+            key, (result, widening if widening is not None else WideningTally())
         )
 
     def get_join(self, key: Tuple):
-        """Look up a memoized join/projection entry (see :data:`_joins`)."""
+        """Look up a memoized join entry (see :data:`_joins`)."""
         return self._joins.get(key)
 
     def put_join(self, key: Tuple, value: Tuple) -> None:
@@ -506,31 +499,25 @@ class TransferCache:
     ) -> Optional[Tuple[TransferResult, "WideningTally"]]:
         """Read-through lookup of a canonical key; ``None`` without a backend.
 
-        Unflushed deltas computed earlier in this run are consulted first —
-        an entry evicted from the memory layer mid-run is recovered without
-        touching the store.  A stored payload that fails to decode is
-        discarded from the backend (reclassifying the lookup as a miss) and
-        treated as a miss here, so the recomputed result re-admits the key
-        at the next flush instead of the corrupt row surviving forever.
+        A stored payload that fails to decode is discarded from the backend
+        (reclassifying the lookup as a miss) and treated as a miss here, so
+        the recomputed result re-admits the key at the next flush instead of
+        the corrupt row surviving forever.
         """
         if self.backend is None:
             return None
         from ..cache.backend import BACKEND_ERRORS
         from ..cache.codec import CacheDecodeError, decode_entry
 
-        pending_payload = self._pending.get(persistent_key)
-        if pending_payload is not None:
-            payload = pending_payload
-        else:
-            try:
-                payload = self.backend.get(persistent_key)
-            except BACKEND_ERRORS as error:
-                self._note_backend_error("get", error)
-                return None
+        try:
+            payload = self.backend.get(persistent_key)
+        except BACKEND_ERRORS as error:
+            self._note_backend_error("get", error)
+            return None
         if payload is None:
             return None
         rule = fault_fire("cache.payload", persistent_key)
-        if rule is not None and rule.kind == "corrupt" and pending_payload is None:
+        if rule is not None and rule.kind == "corrupt":
             # Chaos harness: mangle the stored payload so the codec rejects
             # it, driving the same quarantine path a bit-rotted row would.
             payload = "\x00corrupt\x00" + payload
@@ -542,17 +529,14 @@ class TransferCache:
                 return decode_entry(payload, matrix_limits)
         except CacheDecodeError:
             self.quarantined += 1
-            if pending_payload is None:
-                _logger().warning(
-                    "quarantined corrupt cache entry %s (discarded; treated as a miss)",
-                    persistent_key,
-                )
-                try:
-                    self.backend.discard(persistent_key)
-                except BACKEND_ERRORS as error:
-                    self._note_backend_error("discard", error)
-            else:  # pragma: no cover - pending entries are self-encoded
-                del self._pending[persistent_key]
+            _logger().warning(
+                "quarantined corrupt cache entry %s (discarded; treated as a miss)",
+                persistent_key,
+            )
+            try:
+                self.backend.discard(persistent_key)
+            except BACKEND_ERRORS as error:
+                self._note_backend_error("discard", error)
             return None
 
     def record_persistent(
@@ -560,18 +544,15 @@ class TransferCache:
         persistent_key: str,
         result: TransferResult,
         widening: "WideningTally",
-        stmt: Optional[ast.BasicStmt] = None,
+        label: str,
     ) -> None:
-        """Buffer a computed transfer for the next :meth:`flush`."""
+        """Buffer a computed transfer, with its statement label, for :meth:`flush`."""
         if self.backend is None or persistent_key in self._pending:
             return
         from ..cache.codec import encode_entry
 
         self._pending[persistent_key] = encode_entry(result, widening)
-        if stmt is not None:
-            from ..sil.delta import statement_label
-
-            self._pending_labels[persistent_key] = statement_label(stmt)
+        self._pending_labels[persistent_key] = label
 
     def flush(self, stats=None) -> Tuple[int, int]:
         """Write buffered deltas (and read touches) to the backend.
@@ -623,12 +604,12 @@ class TransferCache:
     def invalidate_statements(self, labels) -> int:
         """Drop every cached transfer of the given statement labels.
 
-        ``labels`` is a set of :func:`repro.sil.delta.statement_label`
+        ``labels`` is a set of :func:`repro.sil.printer.statement_label`
         strings — the statements an edit removed or rewrote.  All three
-        tiers are swept: the in-memory transfer entries (whose values pin
-        their statement objects, so the label is recomputed exactly), the
-        memoized call projections, the unflushed pending deltas, and the
-        persistent backend (statement labels are stored with each row).
+        tiers are swept: the in-memory transfer entries (each key starts
+        with its statement identity, so the label is recomputed exactly),
+        the unflushed pending deltas, and the persistent backend (statement
+        labels are stored with each row).
         Everything else is kept — this is the delete-by-key-set contract
         incremental re-analysis relies on, replacing all-or-nothing
         ``clear()``.  Returns the total number of entries dropped.
@@ -636,26 +617,11 @@ class TransferCache:
         doomed = set(labels)
         if not doomed:
             return 0
-        from ..sil.delta import statement_label
-
         dropped = 0
-        stale_keys = [
-            key
-            for key, value in self._entries.items()
-            if statement_label(value[0]) in doomed
-        ]
+        stale_keys = [key for key in self._entries if identity_label(key[0]) in doomed]
         for key in stale_keys:
             self._entries.remove(key)
         dropped += len(stale_keys)
-
-        stale_joins = [
-            key
-            for key, value in self._joins.items()
-            if key[0] == "call" and statement_label(value[0]) in doomed
-        ]
-        for key in stale_joins:
-            self._joins.remove(key)
-        dropped += len(stale_joins)
 
         stale_pending = [
             key
@@ -692,7 +658,6 @@ def apply_basic_statement_cached(
     limits: AnalysisLimits = DEFAULT_LIMITS,
     cache: Optional[TransferCache] = None,
     stats=None,
-    epoch: int = 0,
 ) -> TransferResult:
     """Memoizing wrapper around :func:`apply_basic_statement`.
 
@@ -700,17 +665,12 @@ def apply_basic_statement_cached(
     any object with ``transfer_cache_hits``/``transfer_cache_misses`` and
     the widening counters); pass ``None`` to skip counting.
 
-    ``epoch`` scopes the ``id(stmt)`` component of the in-memory key: two
-    :class:`~repro.analysis.engine.BatchAnalyzer` instances sharing one
-    :class:`TransferCache` pass distinct epochs, so a statement id CPython
-    recycles after one batch's program dies can never alias a live entry
-    recorded by the other (the persistent tier is content-addressed and
-    needs no such scoping).  Bare callers share epoch 0.
-
-    The in-memory cache key is ``(epoch, id(stmt), limits,
-    input-fingerprint)``.  The
-    fingerprint is an exact content snapshot built from the input's
-    interned *rows* (so hashing uses precomputed per-row hashes), which
+    The in-memory cache key is ``(statement identity, limits, input
+    matrix)``: the statement's kind and inline rendering, so equal
+    statements share entries across program points, parses and requests.
+    The input is the sealed matrix itself or, for an unsealed scratch
+    matrix, its fingerprint — an exact content snapshot built from the
+    input's interned *rows* (so hashing uses precomputed per-row hashes), which
     makes the lookup just as precise as keying on a hash-consed matrix —
     but **without** paying a whole-matrix intern on the cold path, where
     the input is a scratch copy that will never be seen again.  Each such
@@ -749,7 +709,11 @@ def apply_basic_statement_cached(
     # Sealed inputs (every matrix flowing through the pipeline) key on the
     # matrix object itself: its content hash is cached, so the warm-path
     # probe costs O(1) instead of re-hashing the fingerprint snapshot.
-    key = (epoch, id(stmt), limits, matrix if matrix.is_sealed else matrix.fingerprint())
+    key = (
+        statement_identity(stmt),
+        limits,
+        matrix if matrix.is_sealed else matrix.fingerprint(),
+    )
     cached = cache.get(key)
     if cached is not None:
         result, widening = cached
@@ -768,7 +732,7 @@ def apply_basic_statement_cached(
         loaded = cache.load_persistent(persistent_key, matrix.limits)
         if loaded is not None:
             result, widening = loaded
-            evicted = cache.put(key, stmt, result, widening)
+            evicted = cache.put(key, result, widening)
             if stats is not None:
                 stats.transfer_cache_hits += 1
                 _bump(stats, "persistent_cache_hits")
@@ -790,9 +754,9 @@ def apply_basic_statement_cached(
     result.matrix = result.matrix.seal()
     if stats is not None:
         _bump(stats, "scratch_matrices_elided")
-    evicted = cache.put(key, stmt, result, widening)
+    evicted = cache.put(key, result, widening)
     if persistent_key is not None:
-        cache.record_persistent(persistent_key, result, widening, stmt=stmt)
+        cache.record_persistent(persistent_key, result, widening, identity_label(key[0]))
     if stats is not None:
         stats.transfer_cache_misses += 1
         _bump(stats, "transfer_cache_evictions", evicted)

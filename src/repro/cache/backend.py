@@ -33,11 +33,6 @@ except ImportError:  # pragma: no cover - py<3.8 only
         return cls
 
 
-from .policy import POLICIES
-
-#: Backend kinds :func:`open_backend` understands.
-BACKENDS = ("memory", "disk")
-
 #: Default cap on persistent-store *entries* (not bytes).  Transfer payloads
 #: are small (a few hundred bytes), so the default bounds the store around
 #: tens of MB while staying far above any tier-1 workload's unique-key count.
@@ -48,7 +43,7 @@ DEFAULT_STORE_CAPACITY = 1 << 17
 class CacheBackend(Protocol):
     """What the transfer layer and the CLI need from a persistent store."""
 
-    #: ``"memory"`` or ``"disk"`` — mirrored from the opening config.
+    #: The store kind reported by :meth:`stats` (``"disk"``).
     kind: str
 
     def get(self, key: str) -> Optional[str]:
@@ -106,43 +101,27 @@ class CacheConfig:
     """Everything needed to open the same persistent store anywhere.
 
     Frozen and made of primitives, so it pickles into shard payloads the
-    same way :class:`~repro.analysis.limits.AnalysisLimits` does.  The
-    ``policy`` governs both the in-memory transfer-cache layer and the
-    store's own capacity enforcement.
+    same way :class:`~repro.analysis.limits.AnalysisLimits` does.
     """
 
-    backend: str = "disk"
-    #: Store directory (``disk``) or a shared-store namespace (``memory``).
+    #: Store directory (``--cache-dir``).
     directory: Optional[str] = None
-    policy: str = "lru"
     #: Entry cap of the *persistent* store (the in-memory layer is bounded
     #: separately by ``AnalysisLimits.transfer_cache_size``).
     capacity: int = DEFAULT_STORE_CAPACITY
 
     def validated(self) -> "CacheConfig":
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown cache backend {self.backend!r}; known: {BACKENDS}")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown cache policy {self.policy!r}; known: {POLICIES}")
-        if self.backend == "disk" and not self.directory:
-            raise ValueError("the disk cache backend requires a directory (--cache-dir)")
+        if not self.directory:
+            raise ValueError("the persistent cache requires a directory (--cache-dir)")
         return replace(self, capacity=max(1, int(self.capacity)))
 
 
 def open_backend(config: CacheConfig) -> CacheBackend:
     """Open (creating if needed) the store a config describes."""
-    config = config.validated()
-    if config.backend == "memory":
-        from .memory import shared_memory_backend
-
-        return shared_memory_backend(
-            namespace=config.directory or "default",
-            policy=config.policy,
-            capacity=config.capacity,
-        )
     from .disk import DiskBackend
 
-    return DiskBackend(config.directory, policy=config.policy, capacity=config.capacity)
+    config = config.validated()
+    return DiskBackend(config.directory, capacity=config.capacity)
 
 
 def __getattr__(name: str) -> object:

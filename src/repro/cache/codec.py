@@ -52,7 +52,7 @@ from ..analysis.structure import Certainty, DiagnosticKind, StructureDiagnostic
 from ..analysis.telemetry import WideningTally
 from ..obs.trace import span
 from ..sil import ast
-from ..sil.delta import statement_identity
+from ..sil.printer import statement_identity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at runtime: repro.analysis.transfer imports the policy
@@ -80,9 +80,9 @@ def _canonical_json(document: object) -> str:
 def canonical_statement(stmt: ast.BasicStmt) -> List[str]:
     """``[kind, rendering]`` — the content identity of a basic statement.
 
-    Delegates to :func:`repro.sil.delta.statement_identity` so the differ's
-    change spans and the persistent keys can never disagree about what "the
-    same statement" means.
+    Delegates to :func:`repro.sil.printer.statement_identity` so the
+    in-memory memo, the differ's change spans and the persistent keys can
+    never disagree about what "the same statement" means.
     """
     return list(statement_identity(stmt))
 

@@ -1,9 +1,9 @@
 """The disk-backed persistent transfer-cache store (SQLite).
 
 One SQLite file per cache directory, holding content-addressed canonical
-payloads (see :mod:`repro.cache.codec`) plus the access metadata the
-eviction policies rank by and a cumulative-counter table the ``repro cache
-stats`` subcommand reads:
+payloads (see :mod:`repro.cache.codec`) plus the access metadata eviction
+ranks by and a cumulative-counter table the ``repro cache stats``
+subcommand reads:
 
 * ``entries(key, payload, created, last_used, hits)`` — ``key`` is the
   SHA-256 transfer key; ``created``/``last_used`` are ticks of a store-wide
@@ -23,11 +23,9 @@ content-addressed, so equal keys always carry equal payloads and the race
 winner is irrelevant.
 
 Capacity is enforced inside the same transaction: when the entry count
-exceeds the configured cap the policy picks victims —
-
-* ``lru``: smallest ``last_used`` tick first,
-* ``lfu``: fewest ``hits`` first (ties: least recently used),
-* ``fifo``: smallest ``created`` tick first.
+exceeds the configured cap, the least recently used entries (smallest
+``last_used`` tick first) are evicted.  Stores written by older versions
+may carry a ``policy`` row in ``meta``; it is ignored.
 """
 
 from __future__ import annotations
@@ -86,11 +84,8 @@ _COUNTERS = (
     "retries",
 )
 
-_EVICTION_ORDER = {
-    "lru": "last_used ASC, key ASC",
-    "lfu": "hits ASC, last_used ASC, key ASC",
-    "fifo": "created ASC, key ASC",
-}
+#: Victim order when the store exceeds its capacity: least recently used.
+_EVICTION_ORDER = "last_used ASC, key ASC"
 
 
 class DiskBackend:
@@ -101,17 +96,13 @@ class DiskBackend:
     def __init__(
         self,
         directory: str,
-        policy: str = "lru",
         capacity: int = DEFAULT_STORE_CAPACITY,
         timeout: float = 60.0,
         io_retries: int = DEFAULT_IO_RETRIES,
     ):
-        if policy not in _EVICTION_ORDER:
-            raise ValueError(f"unknown cache policy {policy!r}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / STORE_FILENAME
-        self.policy = policy
         self.capacity = max(1, int(capacity))
         # Autocommit connection: transactions are managed explicitly with
         # BEGIN IMMEDIATE, so pysqlite's implicit-transaction machinery can
@@ -232,13 +223,6 @@ class DiskBackend:
         connection = self._connection
         connection.execute("BEGIN IMMEDIATE")
         try:
-            # Record which policy ranked this store's evictions (last writer
-            # wins) so `repro cache stats` — which opens with the default
-            # policy — reports the policy the data was actually shaped by.
-            connection.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES ('policy', ?)",
-                (self.policy,),
-            )
             clock = self._bump_meta_locked("clock", 1)
             written = 0
             for key, payload in pending.items():
@@ -373,16 +357,9 @@ class DiskBackend:
             size_bytes = os.path.getsize(self.path)
         except OSError:  # pragma: no cover - racing deletion
             size_bytes = 0
-        # Report the policy the store was last *written* under, not this
-        # connection's configuration — the eviction counters were ranked by
-        # the former.
-        policy_row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = 'policy'"
-        ).fetchone()
         return {
             "backend": self.kind,
             "path": str(self.path),
-            "policy": str(policy_row[0]) if policy_row is not None else self.policy,
             "entries": len(self),
             "capacity": self.capacity,
             "size_bytes": size_bytes,
@@ -437,10 +414,9 @@ class DiskBackend:
         excess = count - self.capacity
         if excess <= 0:
             return 0
-        order = _EVICTION_ORDER[self.policy]
         self._connection.execute(
             f"DELETE FROM entries WHERE key IN "
-            f"(SELECT key FROM entries ORDER BY {order} LIMIT ?)",
+            f"(SELECT key FROM entries ORDER BY {_EVICTION_ORDER} LIMIT ?)",
             (excess,),
         )
         return excess

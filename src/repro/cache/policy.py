@@ -1,23 +1,11 @@
-"""Eviction policies for bounded cache layers.
+"""The bounded LRU mapping behind the in-memory cache layers.
 
-One small mapping type, :class:`PolicyCache`, backs both the in-memory
-transfer-cache layer (:class:`repro.analysis.transfer.TransferCache`) and
-the in-process :class:`~repro.cache.memory.MemoryBackend`; the disk store
-re-implements the same orderings in SQL (see :mod:`repro.cache.disk`).
-Three policies are available:
-
-``lru``
-    Least-recently-used: a hit refreshes the entry; the victim is the entry
-    untouched for longest.  The default — transfer lookups cluster heavily
-    around the current fixed-point region.
-``lfu``
-    Least-frequently-used: the victim is the entry with the fewest hits
-    (ties broken towards the least recently used).  Keeps long-lived
-    shared transfers alive across workloads even when a large scan of
-    one-off matrices passes through.
-``fifo``
-    A plain size cap in insertion order: hits do not refresh anything.
-    The cheapest policy, and the baseline the others are measured against.
+One small mapping type, :class:`PolicyCache`, backs both memo spaces of
+:class:`repro.analysis.transfer.TransferCache` (transfers and joins); the
+disk store applies the same least-recently-used order in SQL (see
+:mod:`repro.cache.disk`).  A hit refreshes the entry; the victim is the
+entry untouched for longest — transfer lookups cluster heavily around the
+current fixed-point region.
 
 Evictions are counted on the cache (``evictions``) and surfaced by the
 callers into :class:`~repro.analysis.context.AnalysisStats`, whose counters
@@ -27,49 +15,25 @@ telemetry.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
-
-#: The selectable eviction policies, in documentation order.
-POLICIES = ("lru", "lfu", "fifo")
+from typing import Iterator, Optional
 
 
 class PolicyCache:
-    """A size-bounded mapping with a selectable eviction policy.
+    """A size-bounded mapping with least-recently-used eviction.
 
-    Semantics shared by all policies: ``put`` of an existing key is a no-op
-    beyond a policy touch (entries are immutable once admitted — the caches
-    built on this are content-addressed), and capacity is enforced on
-    admission, never below one entry.
+    ``put`` of an existing key is a no-op beyond a recency touch (entries
+    are immutable once admitted — the caches built on this are
+    content-addressed), and capacity is enforced on admission, never below
+    one entry.
     """
 
-    __slots__ = (
-        "capacity",
-        "policy",
-        "evictions",
-        "_entries",
-        "_hits",
-        "_tick",
-        "_clock",
-        "_lfu_heap",
-    )
+    __slots__ = ("capacity", "evictions", "_entries")
 
-    def __init__(self, capacity: int, policy: str = "lru"):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown cache policy {policy!r}; known: {POLICIES}")
+    def __init__(self, capacity: int):
         self.capacity = max(1, int(capacity))
-        self.policy = policy
         self.evictions = 0
         self._entries: "OrderedDict[object, object]" = OrderedDict()
-        self._hits: Dict[object, int] = {}
-        self._tick: Dict[object, int] = {}
-        self._clock = 0
-        # lfu victim selection: a lazy-deletion min-heap of
-        # (hits, tick, key) snapshots.  Stale snapshots (the key was since
-        # touched, removed, or re-admitted) are skipped on pop, giving
-        # amortized O(log n) eviction instead of an O(n) scan per victim.
-        self._lfu_heap: List[Tuple[int, int, object]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -81,27 +45,24 @@ class PolicyCache:
         return iter(self._entries)
 
     def get(self, key: object) -> Optional[object]:
-        """The stored value, recording a policy touch; ``None`` on a miss."""
+        """The stored value, refreshing its recency; ``None`` on a miss."""
         if key not in self._entries:
             return None
-        self._touch(key)
+        self._entries.move_to_end(key)
         return self._entries[key]
 
     def put(self, key: object, value: object) -> int:
         """Admit ``key`` (touch-only if present); returns evictions performed."""
         if key in self._entries:
-            self._touch(key)
+            self._entries.move_to_end(key)
             return 0
         evicted = 0
         while len(self._entries) >= self.capacity:
-            self._evict_one()
+            # Least recently used is first: hits move_to_end.
+            del self._entries[next(iter(self._entries))]
+            self.evictions += 1
             evicted += 1
         self._entries[key] = value
-        if self.policy == "lfu":
-            self._hits[key] = 0
-            self._clock += 1
-            self._tick[key] = self._clock
-            self._lfu_push(key)
         return evicted
 
     def remove(self, key: object) -> bool:
@@ -109,57 +70,7 @@ class PolicyCache:
         if key not in self._entries:
             return False
         del self._entries[key]
-        self._hits.pop(key, None)
-        self._tick.pop(key, None)
         return True
 
     def clear(self) -> None:
         self._entries.clear()
-        self._hits.clear()
-        self._tick.clear()
-        self._lfu_heap.clear()
-
-    # ------------------------------------------------------------------
-
-    def _touch(self, key: object) -> None:
-        # The per-key frequency/recency bookkeeping feeds lfu victim
-        # selection only; lru orders via the OrderedDict and fifo never
-        # reorders, so neither pays for it on the hot lookup path.
-        if self.policy == "lru":
-            self._entries.move_to_end(key)
-        elif self.policy == "lfu":
-            self._hits[key] += 1
-            self._clock += 1
-            self._tick[key] = self._clock
-            self._lfu_push(key)
-
-    def _lfu_push(self, key: object) -> None:
-        heapq.heappush(self._lfu_heap, (self._hits[key], self._tick[key], key))
-        # The heap accumulates one stale snapshot per touch; rebuild when it
-        # dwarfs the live entry set so memory stays bounded by the capacity.
-        if len(self._lfu_heap) > 8 * max(self.capacity, len(self._entries)):
-            self._lfu_heap = [
-                (self._hits[entry_key], self._tick[entry_key], entry_key)
-                for entry_key in self._entries
-            ]
-            heapq.heapify(self._lfu_heap)
-
-    def _evict_one(self) -> None:
-        if self.policy == "lfu":
-            # Fewest hits, ties towards the least recently used: pop until a
-            # snapshot matches the key's current state (lazy deletion).
-            while True:
-                hits, tick, victim = heapq.heappop(self._lfu_heap)
-                if self._hits.get(victim) == hits and self._tick.get(victim) == tick:
-                    break
-        else:
-            # lru: least recently used is first (hits move_to_end);
-            # fifo: oldest insertion is first (hits never reorder).
-            victim = next(iter(self._entries))
-        del self._entries[victim]
-        self._hits.pop(victim, None)
-        self._tick.pop(victim, None)
-        self.evictions += 1
-
-    def items(self) -> List[Tuple[object, object]]:
-        return list(self._entries.items())

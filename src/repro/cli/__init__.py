@@ -20,9 +20,8 @@ One module per subcommand, each importing its own stack only when it runs:
 * ``client`` (:mod:`.client`) — talk to a running daemon.
 
 ``analyze``, ``bench``, ``reanalyze`` and ``serve`` accept the
-persistent-cache knobs of :mod:`.options`: ``--cache-dir`` (a disk store
-shards and *runs* share), ``--cache-backend``, ``--cache-policy`` and
-``--cache-size``.  Parsing and dispatch live in :mod:`.main`.
+cache knobs of :mod:`.options`: ``--cache-dir`` (a disk store shards and
+*runs* share) and ``--cache-size``.  Parsing and dispatch live in :mod:`.main`.
 """
 
 from .main import build_parser, main

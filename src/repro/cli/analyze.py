@@ -70,14 +70,12 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    options.warn_if_memory_backend_sharded(cache, args.shards, len(items))
     limits = options.effective_limits(args)
     runner = ShardedSuiteRunner(
         items,
         shards=args.shards,
         limits=limits,
         cache=cache,
-        policy=args.cache_policy,
         faults=faults,
         max_attempts=args.max_attempts,
         census=args.census,
@@ -104,7 +102,6 @@ def run(args: argparse.Namespace) -> int:
         rows=False,
         cache=cache,
         cache_size=base_limits(limits).transfer_cache_size,
-        cache_policy=args.cache_policy,
     )
 
     if args.census:

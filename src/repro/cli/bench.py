@@ -116,14 +116,12 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    options.warn_if_memory_backend_sharded(cache, args.shards, len(items))
     limits = options.effective_limits(args)
     runner = ShardedSuiteRunner(
         items,
         shards=args.shards,
         limits=limits,
         cache=cache,
-        policy=args.cache_policy,
         faults=faults,
         max_attempts=args.max_attempts,
     )
@@ -145,7 +143,6 @@ def run(args: argparse.Namespace) -> int:
         report,
         cache=cache,
         cache_size=base_limits(limits).transfer_cache_size,
-        cache_policy=args.cache_policy,
     )
 
     artifact: Dict[str, object] = {
@@ -168,9 +165,8 @@ def run(args: argparse.Namespace) -> int:
         # --cache-dir, approaching 1 when rerun against a populated one —
         # while "results_digest" (under "sharded") must not move at all.
         "cache": {
-            "backend": cache.backend if cache is not None else None,
+            "backend": "disk" if cache is not None else None,
             "directory": cache.directory if cache is not None else None,
-            "policy": args.cache_policy,
             "transfer_cache_size": base_limits(limits).transfer_cache_size,
             "persistent": {
                 "hits": report.stats.persistent_cache_hits,

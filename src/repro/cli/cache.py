@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Optional
 
 from ..cache.disk import STORE_FILENAME, DiskBackend
-from ..cache.policy import POLICIES
 
 
 def configure(parser: argparse.ArgumentParser) -> None:
@@ -43,9 +42,6 @@ def configure(parser: argparse.ArgumentParser) -> None:
     cache_compact.set_defaults(func=run_compact)
     for sub in (cache_stats, cache_clear, cache_compact):
         sub.add_argument("--cache-dir", required=True, metavar="DIR", help="store directory")
-        sub.add_argument(
-            "--cache-policy", choices=POLICIES, default="lru", help=argparse.SUPPRESS
-        )
 
 
 def _open_store(args: argparse.Namespace) -> Optional[DiskBackend]:
@@ -53,7 +49,7 @@ def _open_store(args: argparse.Namespace) -> Optional[DiskBackend]:
     store_path = Path(args.cache_dir) / STORE_FILENAME
     if not store_path.exists():
         return None
-    return DiskBackend(args.cache_dir, policy=args.cache_policy)
+    return DiskBackend(args.cache_dir)
 
 
 def run_stats(args: argparse.Namespace) -> int:

@@ -1,7 +1,7 @@
 """Option groups and flag interpretation shared by several subcommands.
 
 Each ``add_*`` helper imports the vocabulary it advertises (families,
-cache backends, fault sites) only when a subcommand that offers the flag
+fault sites) only when a subcommand that offers the flag
 is being configured, and each interpreter imports its subsystem only when
 the flag was actually given — so an ``analyze`` without ``--cache-*``,
 ``--chaos`` or ``--generated`` never loads the persistent cache tiers,
@@ -11,7 +11,6 @@ the fault planner or the scenario generators.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -153,8 +152,6 @@ def fault_plan(args: argparse.Namespace) -> Optional["FaultPlan"]:
 
 def add_cache_options(parser: argparse.ArgumentParser) -> None:
     from ..analysis.limits import DEFAULT_LIMITS
-    from ..cache.backend import BACKENDS
-    from ..cache.policy import POLICIES
 
     parser.add_argument(
         "--cache-dir",
@@ -162,19 +159,6 @@ def add_cache_options(parser: argparse.ArgumentParser) -> None:
         help="persistent transfer-cache directory shared across shards and "
         "runs (enables the disk backend; rerunning against the same "
         "directory serves cached transfers instead of recomputing)",
-    )
-    parser.add_argument(
-        "--cache-backend",
-        choices=BACKENDS,
-        default=None,
-        help="persistent store kind (default: disk when --cache-dir is "
-        "given, otherwise no persistent tier)",
-    )
-    parser.add_argument(
-        "--cache-policy",
-        choices=POLICIES,
-        default="lru",
-        help="eviction policy of the transfer-cache layers (default: lru)",
     )
     parser.add_argument(
         "--cache-size",
@@ -201,37 +185,16 @@ def effective_limits(args: argparse.Namespace) -> "LimitsLike":
 
 
 def cache_config(args: argparse.Namespace) -> Optional["CacheConfig"]:
-    """The persistent-store config the CLI flags describe (None: no tier).
+    """The persistent-store config ``--cache-dir`` describes (None: no tier).
 
-    Raises ``ValueError`` on inconsistent flags (e.g. ``--cache-backend
-    disk`` without ``--cache-dir``).
+    Raises ``ValueError`` on an empty ``--cache-dir``.
     """
-    backend = getattr(args, "cache_backend", None)
     directory = getattr(args, "cache_dir", None)
-    if backend is None and directory:
-        backend = "disk"
-    if backend is None:
+    if directory is None:
         return None
     from ..cache.backend import CacheConfig
 
-    return CacheConfig(
-        backend=backend, directory=directory, policy=args.cache_policy
-    ).validated()
-
-
-def warn_if_memory_backend_sharded(
-    cache: Optional["CacheConfig"], shards: int, item_count: int
-) -> None:
-    """The memory backend is process-local: flushed deltas die with forked
-    shard workers, so a multi-shard run gains nothing across runs.  Warn
-    rather than fail — single-shard (inline) use is the supported case."""
-    if cache is not None and cache.backend == "memory" and min(shards, item_count) > 1:
-        print(
-            "warning: --cache-backend memory is process-local; shard workers "
-            "discard their flushed deltas at exit. Use --cache-dir (disk) for "
-            "a store that outlives worker processes.",
-            file=sys.stderr,
-        )
+    return CacheConfig(directory=directory).validated()
 
 
 def add_endpoint_options(parser: argparse.ArgumentParser) -> None:

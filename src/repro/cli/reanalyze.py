@@ -169,9 +169,7 @@ def run(args: argparse.Namespace) -> int:
         print(f"front end rejected input: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
 
-    session = IncrementalSession(
-        limits=options.effective_limits(args), cache=cache, policy=args.cache_policy
-    )
+    session = IncrementalSession(limits=options.effective_limits(args), cache=cache)
     try:
         session.analyze(old_program, old_info)
         report = session.reanalyze(new_program, new_info, verify=not args.no_verify)

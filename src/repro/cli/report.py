@@ -31,7 +31,6 @@ def print_report(
     rows: bool = True,
     cache: Optional["CacheConfig"] = None,
     cache_size: Optional[int] = None,
-    cache_policy: Optional[str] = None,
 ) -> None:
     from ..analysis.context import AnalysisStats
     from ..analysis.limits import DEFAULT_LIMITS
@@ -52,16 +51,8 @@ def print_report(
     print()
     stats = report.stats
     size = cache_size if cache_size is not None else DEFAULT_LIMITS.transfer_cache_size
-    if cache_policy is not None:
-        policy = cache_policy
-    else:
-        policy = cache.policy if cache is not None else "lru"
-    if cache is None:
-        tier = "none (in-process only)"
-    else:
-        where = f" @ {cache.directory}" if cache.directory else ""
-        tier = f"{cache.backend}{where}"
-    print(f"transfer cache: size={size} policy={policy} persistent={tier}")
+    tier = f"disk @ {cache.directory}" if cache is not None else "none (in-process only)"
+    print(f"transfer cache: size={size} persistent={tier}")
     if stats.persistent_cache_requests:
         print(
             f"  persistent: hits={stats.persistent_cache_hits} "

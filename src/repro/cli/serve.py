@@ -113,7 +113,7 @@ def run(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     where = args.socket or f"{args.host}:{args.port}"
-    store = f"{cache.backend} @ {cache.directory}" if cache else "memory (private)"
+    store = cache.directory if cache else "none"
     print(
         f"analysis server listening on {where} "
         f"(workers={config.workers}, persistent store: {store})",

@@ -118,10 +118,14 @@ class Histogram:
 
     ``boundaries`` are inclusive upper bounds; ``counts`` has one extra
     overflow slot.  Observations are converted to integer nanoseconds up
-    front so the running sum — and therefore every merge — is exact.
+    front so the running sum — and therefore every merge — is exact.  The
+    exact smallest and largest observation (``min_ns``/``max_ns``, ``None``
+    while empty) merge by min/max and bound every reported quantile.
     """
 
-    __slots__ = ("name", "labels", "boundaries", "counts", "count", "sum_ns")
+    __slots__ = (
+        "name", "labels", "boundaries", "counts", "count", "sum_ns", "min_ns", "max_ns",
+    )
 
     def __init__(
         self,
@@ -137,12 +141,15 @@ class Histogram:
         self.counts = [0] * (len(self.boundaries) + 1)
         self.count = 0
         self.sum_ns = 0
+        self.min_ns: Optional[int] = None
+        self.max_ns: Optional[int] = None
 
     def observe(self, value: float) -> None:
         """Record one observation (seconds for latency histograms)."""
         self.observe_ns(int(round(value * 1e9)))
 
     def observe_ns(self, value_ns: int) -> None:
+        value_ns = int(value_ns)
         value = value_ns / 1e9
         index = len(self.boundaries)
         for i, bound in enumerate(self.boundaries):
@@ -151,18 +158,35 @@ class Histogram:
                 break
         self.counts[index] += 1
         self.count += 1
-        self.sum_ns += int(value_ns)
+        self.sum_ns += value_ns
+        self.min_ns = value_ns if self.min_ns is None else min(self.min_ns, value_ns)
+        self.max_ns = value_ns if self.max_ns is None else max(self.max_ns, value_ns)
+
+    def absorb(self, other: "Histogram") -> None:
+        """Fold ``other``'s observations (same boundaries) into this one."""
+        for i, occupancy in enumerate(other.counts):
+            self.counts[i] += occupancy
+        self.count += other.count
+        self.sum_ns += other.sum_ns
+        if other.min_ns is not None:
+            self.min_ns = other.min_ns if self.min_ns is None else min(self.min_ns, other.min_ns)
+            self.max_ns = other.max_ns if self.max_ns is None else max(self.max_ns, other.max_ns)
 
     def quantile(self, q: float) -> float:
-        """The q-quantile in seconds, interpolated inside its bucket.
+        """The q-quantile in seconds, within the observed range.
 
-        Deterministic given the bucket occupancies (Prometheus-style
-        linear interpolation): a merge of shard histograms reports the
-        same quantiles as the single process would.  The overflow bucket
-        clamps to the largest boundary.
+        Interpolated inside its bucket (Prometheus-style linear
+        interpolation; the overflow bucket reads as the largest boundary),
+        then clamped to ``[min, max]`` of the observations, so no quantile
+        reports a value outside the data.  Deterministic given the bucket
+        occupancies and the exact extremes: a merge of shard histograms
+        reports the same quantiles as the single process would.
         """
         if self.count == 0:
             return 0.0
+        return min(max(self._interpolate(q), self.min_ns / 1e9), self.max_ns / 1e9)
+
+    def _interpolate(self, q: float) -> float:
         rank = q * self.count
         cumulative = 0
         for i, occupancy in enumerate(self.counts):
@@ -276,6 +300,8 @@ class MetricsRegistry:
                         "counts": list(h.counts),
                         "count": h.count,
                         "sum_ns": h.sum_ns,
+                        "min_ns": h.min_ns,
+                        "max_ns": h.max_ns,
                     }
                     for key, h in sorted(self._histograms.items())
                 },
@@ -298,6 +324,8 @@ class MetricsRegistry:
             histogram.counts = counts
             histogram.count = int(entry["count"])
             histogram.sum_ns = int(entry["sum_ns"])
+            histogram.min_ns = entry["min_ns"]
+            histogram.max_ns = entry["max_ns"]
         return registry
 
     def canonical(self) -> str:
@@ -318,13 +346,9 @@ class MetricsRegistry:
             for gauge in list(other._gauges.values()):
                 self.gauge(gauge.name, **dict(gauge.labels)).inc(gauge.value)
             for histogram in list(other._histograms.values()):
-                mine = self.histogram(
+                self.histogram(
                     histogram.name, histogram.boundaries, **dict(histogram.labels)
-                )
-                for i, occupancy in enumerate(histogram.counts):
-                    mine.counts[i] += occupancy
-                mine.count += histogram.count
-                mine.sum_ns += histogram.sum_ns
+                ).absorb(histogram)
         return self
 
     def merge(self, *others: "MetricsRegistry") -> "MetricsRegistry":
@@ -388,10 +412,7 @@ def latency_tails(
         rows[key] = _tail_row(histogram)
         if overall is None:
             overall = Histogram(name, histogram.boundaries)
-        for i, occupancy in enumerate(histogram.counts):
-            overall.counts[i] += occupancy
-        overall.count += histogram.count
-        overall.sum_ns += histogram.sum_ns
+        overall.absorb(histogram)
     report = {key: rows[key] for key in sorted(rows)}
     if overall is not None:
         report["_overall"] = _tail_row(overall)

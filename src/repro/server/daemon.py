@@ -126,8 +126,8 @@ class ServerConfig:
     #: pointer check per injection site.
     faults: Optional[FaultPlan] = None
     limits: LimitsLike = DEFAULT_LIMITS
-    #: Persistent-store config; ``None`` → the service's private in-process
-    #: memory store (warm across requests, gone with the daemon).
+    #: Persistent-store config; ``None`` → no store (the in-memory transfer
+    #: memo still serves repeats across requests).
     cache: Optional[CacheConfig] = field(default=None)
 
     def validated(self) -> "ServerConfig":

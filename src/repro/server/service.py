@@ -3,10 +3,10 @@
 One :class:`AnalysisService` owns everything the one-shot CLI used to tear
 down between invocations:
 
-* one **server-lifetime** :class:`~repro.analysis.transfer.TransferCache`
-  with an open persistent :class:`~repro.cache.backend.CacheBackend`
-  behind it (a private in-process memory store by default, a disk store
-  shared with the batch CLI when configured);
+* one **server-lifetime** :class:`~repro.analysis.transfer.TransferCache`,
+  with a disk :class:`~repro.cache.backend.CacheBackend` shared with the
+  batch CLI behind it when ``--cache-dir`` configures one (none by
+  default);
 * the process-global interned path/matrix domain and ``GLOBAL_SYMBOLS``
   table, which stay hot simply because the process stays alive;
 * server-lifetime merged :class:`~repro.analysis.context.AnalysisStats`.
@@ -20,11 +20,10 @@ fresh worker processes — and the per-request stats are merged into the
 lifetime totals that ``cache_stats`` reports.
 
 Why the second request is cheap: the in-memory transfer memo keys on
-``id(stmt)``, so a re-submitted program (freshly parsed, new statement
-objects) misses it — but the persistent tier keys on **content**, so every
-transfer the first request computed is decoded instead of recomputed.
-That read-through is the nonzero ``persistent_cache_hit_rate`` the
-one-shot CLI could never show.
+statement **content**, so a re-submitted program — freshly parsed, new
+statement objects — hits every transfer the first request computed, as
+ready-to-use sealed matrices with no decode.  That is the
+``transfer_cache_hit_rate`` of 1.0 the one-shot CLI could never show.
 
 The service is thread-safe under the daemon's bounded worker pool: one
 internal lock serializes the analysis itself (the interning tables are
@@ -37,7 +36,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-import uuid
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..analysis.context import AnalysisStats
@@ -89,22 +87,12 @@ class AnalysisService:
     ):
         self.limits = limits
         self.entry = entry
-        # A daemon without an explicit store still deserves a persistent
-        # tier — it is the whole point of staying alive.  The in-process
-        # memory backend under a unique namespace gives cross-*request*
-        # content-addressed hits without touching disk; a CacheConfig from
-        # the CLI (--cache-dir) swaps in a store shared with batch runs.
-        self.cache_config = (
-            cache.validated()
-            if cache is not None
-            else CacheConfig(
-                backend="memory", directory=f"analysis-server-{uuid.uuid4().hex}"
-            )
-        )
+        # Repeats across requests are served by the in-memory memo; a disk
+        # store (--cache-dir) adds transfers shared with batch runs and
+        # earlier daemons.
         self.cache = TransferCache(
             base_limits(limits).transfer_cache_size,
-            policy=self.cache_config.policy,
-            backend=open_backend(self.cache_config),
+            backend=open_backend(cache) if cache is not None else None,
         )
         self.started_at = time.time()
         self.requests_served = 0
@@ -118,9 +106,8 @@ class AnalysisService:
         self._lock = threading.Lock()
         self._closed = False
         logger.info(
-            "analysis service ready (cache backend=%s, policy=%s)",
-            self.cache_config.backend,
-            self.cache_config.policy,
+            "analysis service ready (persistent store: %s)",
+            cache.directory if cache is not None else "none",
         )
 
     # ------------------------------------------------------------------
@@ -234,8 +221,8 @@ class AnalysisService:
         """Dirty-seeded re-analysis of an edited program over the warm cache.
 
         The request carries the old and new program sources; the service
-        solves the old version (warm against the server-lifetime persistent
-        tier), diffs, invalidates, and re-solves only the dirty frontier —
+        solves the old version (warm against the server-lifetime transfer
+        cache), diffs, invalidates, and re-solves only the dirty frontier —
         an :class:`~repro.analysis.reanalysis.IncrementalSession` per
         request over the shared :class:`TransferCache`, so per-request
         stats stay exact deltas and still merge into the lifetime totals.
@@ -290,7 +277,6 @@ class AnalysisService:
             "transfer_cache": {
                 "entries": len(self.cache),
                 "capacity": self.cache.capacity,
-                "policy": self.cache.policy,
                 "evictions": self.cache.evictions,
             },
             "persistent": backend.stats() if backend is not None else None,

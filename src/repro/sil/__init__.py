@@ -51,8 +51,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".delta": (
             "ProcedureDelta", "ProgramDelta", "call_graph", "diff_programs",
-            "dirty_seed", "reverse_call_graph", "statement_identity", "statement_label",
-            "statement_rebase_map",
+            "dirty_seed", "reverse_call_graph", "statement_rebase_map",
         ),
         ".errors": (
             "LexError", "NormalizationError", "ParseError", "SilError",
@@ -63,6 +62,7 @@ __getattr__, __dir__ = lazy_exports(
         ".parser": ("parse_expression", "parse_program", "parse_statement"),
         ".printer": (
             "format_expr", "format_procedure", "format_program", "format_stmt",
+            "statement_identity", "statement_label",
         ),
         ".typecheck": (
             "ExprType", "ProcedureTypes", "TypeChecker", "TypeInfo", "check_program",

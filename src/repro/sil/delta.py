@@ -10,12 +10,11 @@ analysis:
   produces a typed :class:`ProgramDelta` — procedures added, removed,
   body-changed or signature-changed, plus the statement-level change spans
   of every changed body;
-* statement content is identified by :func:`statement_identity` — the
-  ``(node kind, exact inline rendering)`` pair — which is **the same
-  canonical rendering contract the persistent cache codec keys on**
-  (:func:`repro.cache.codec.canonical_statement` delegates here), so a
-  delta's stale-statement set names exactly the store rows that can never
-  be looked up again;
+* statement content is identified by :func:`~repro.sil.printer.
+  statement_identity` — the ``(node kind, exact inline rendering)`` pair —
+  which is **the same key the transfer memo and the persistent cache codec
+  use**, so a delta's stale-statement set names exactly the cached
+  transfers that can never be looked up again;
 * :func:`statement_rebase_map` produces *stable statement identities across
   reparses*: for procedures whose bodies are textually identical, it maps
   each old statement object's ``id`` to the corresponding statement object
@@ -36,32 +35,12 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from . import ast
-from .printer import _format_inline
-
-#: ``(node kind, inline rendering)`` — the content identity of a statement.
-StatementIdentity = Tuple[str, str]
-
-
-def statement_identity(stmt: ast.Stmt) -> StatementIdentity:
-    """The canonical content identity of one statement.
-
-    Two statements with equal identities are structurally identical
-    (including every nested statement — the inline rendering recurses), so
-    they denote the same transfer function under any input matrix.  This is
-    the rendering :func:`repro.cache.codec.canonical_statement` builds
-    persistent transfer keys from.
-    """
-    return (type(stmt).__name__, _format_inline(stmt))
-
-
-def statement_label(stmt: ast.Stmt) -> str:
-    """The single-string form of :func:`statement_identity` stores index by."""
-    return identity_label(statement_identity(stmt))
-
-
-def identity_label(identity: StatementIdentity) -> str:
-    """Collapse an identity pair into the label string stored with cache rows."""
-    return "|".join(identity)
+from .printer import (
+    StatementIdentity,
+    identity_label,
+    statement_identity,
+    statement_label,
+)
 
 
 def _signature_of(proc: ast.Procedure) -> Tuple:

@@ -7,7 +7,7 @@ parallelizer can be printed in the style of Figure 8 of the paper.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from . import ast
 
@@ -147,6 +147,35 @@ def _format_inline(stmt: ast.Stmt) -> str:
     if isinstance(stmt, ast.WhileStmt):
         return f"while {format_expr(stmt.cond)} do {_format_inline(stmt.body)}"
     raise TypeError(f"unknown statement node: {stmt!r}")
+
+
+#: ``(node kind, inline rendering)`` — the content identity of a statement.
+StatementIdentity = Tuple[str, str]
+
+
+def statement_identity(stmt: ast.Stmt) -> StatementIdentity:
+    """The canonical content identity of one statement.
+
+    Two statements with equal identities are structurally identical
+    (including every nested statement — the inline rendering recurses), so
+    they denote the same transfer function under any input matrix.  The
+    node kind is part of the identity because two kinds can render alike
+    (a scalar copy ``x := y`` prints like a handle copy) while having
+    different transfer semantics.  The in-memory transfer memo, the
+    persistent cache keys (:func:`repro.cache.codec.canonical_statement`)
+    and the program differ (:mod:`repro.sil.delta`) all key on it.
+    """
+    return (type(stmt).__name__, _format_inline(stmt))
+
+
+def statement_label(stmt: ast.Stmt) -> str:
+    """The single-string form of :func:`statement_identity` stores index by."""
+    return identity_label(statement_identity(stmt))
+
+
+def identity_label(identity: StatementIdentity) -> str:
+    """Collapse an identity pair into the label string stored with cache rows."""
+    return "|".join(identity)
 
 
 def _format_decls(decls: List[ast.VarDecl], separator: str = "; ") -> str:

@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .generators import Scenario
 
 #: One shard's work order: (index, (name, source) pairs, limits, cache
-#: config, eviction policy, fault plan, attempt, census).  ``attempt``
+#: config, fault plan, attempt, census).  ``attempt``
 #: starts at 0 and counts up on every requeue of the same workloads after a
 #: worker crash, bounding retries and giving the crash-injection site a
 #: fresh deterministic draw per attempt.  ``census`` asks the shard for a
@@ -61,7 +61,6 @@ ShardPayload = Tuple[
     List[Tuple[str, str]],
     "LimitsLike",
     Optional["CacheConfig"],
-    Optional[str],
     Optional["FaultPlan"],
     int,
     bool,
@@ -836,7 +835,7 @@ def _analyze_shard(payload: ShardPayload) -> Dict:
     """
     from ..analysis.engine import BatchAnalyzer
 
-    shard_index, pairs, limits, cache, policy, faults, attempt, census = payload
+    shard_index, pairs, limits, cache, faults, attempt, census = payload
     if faults is not None and current_fault_plan() is None:
         install_fault_plan(faults)
     rule = fault_fire("shard.worker", f"{shard_index}@{attempt}")
@@ -844,7 +843,7 @@ def _analyze_shard(payload: ShardPayload) -> Dict:
         raise InjectedWorkerCrash(
             f"injected worker crash (shard {shard_index}, attempt {attempt})"
         )
-    batch = BatchAnalyzer(limits=limits, cache=cache, policy=policy)
+    batch = BatchAnalyzer(limits=limits, cache=cache)
     try:
         return analyze_pairs(
             batch, pairs, shard=shard_index, attempt=attempt, census=census
@@ -1031,7 +1030,6 @@ class ShardedSuiteRunner:
         shards: int = 2,
         limits: Optional["LimitsLike"] = None,
         cache: Optional["CacheConfig"] = None,
-        policy: Optional[str] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         census: bool = False,
@@ -1048,8 +1046,6 @@ class ShardedSuiteRunner:
         self.shards = max(1, int(shards))
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self.cache = cache.validated() if cache is not None else None
-        #: In-memory eviction policy; meaningful with or without a store.
-        self.policy = policy
         #: Optional :class:`~repro.faults.FaultPlan`, installed for the
         #: duration of each run (and shipped to workers in the payloads).
         self.faults = faults.validated() if faults is not None else None
@@ -1064,7 +1060,6 @@ class ShardedSuiteRunner:
         shards: int = 2,
         limits: Optional["LimitsLike"] = None,
         cache: Optional["CacheConfig"] = None,
-        policy: Optional[str] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> "ShardedSuiteRunner":
@@ -1076,7 +1071,6 @@ class ShardedSuiteRunner:
             shards,
             limits,
             cache,
-            policy,
             faults=faults,
             max_attempts=max_attempts,
         )
@@ -1088,7 +1082,6 @@ class ShardedSuiteRunner:
         shards: int = 2,
         limits: Optional["LimitsLike"] = None,
         cache: Optional["CacheConfig"] = None,
-        policy: Optional[str] = None,
         faults: Optional["FaultPlan"] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> "ShardedSuiteRunner":
@@ -1098,7 +1091,6 @@ class ShardedSuiteRunner:
             shards,
             limits,
             cache,
-            policy,
             faults=faults,
             max_attempts=max_attempts,
         )
@@ -1109,8 +1101,7 @@ class ShardedSuiteRunner:
         self, index: int, pairs: List[Tuple[str, str]], attempt: int = 0
     ) -> ShardPayload:
         return (
-            index, pairs, self.limits, self.cache, self.policy, self.faults, attempt,
-            self.census,
+            index, pairs, self.limits, self.cache, self.faults, attempt, self.census,
         )
 
     def _payloads(self, shards: int) -> List[ShardPayload]:
@@ -1185,7 +1176,7 @@ class ShardedSuiteRunner:
         failed so the run still completes and reports honestly.
         """
         index, pairs = payload[0], payload[1]
-        attempt = payload[6]
+        attempt = payload[5]
         names = [name for name, _ in pairs]
         control.counter("suite.shard_crashes_total", kind="worker").inc()
         next_attempt = attempt + 1
@@ -1402,8 +1393,8 @@ class ShardedSuiteRunner:
         hot across requests.  The report's stats are the *growth* during
         this run (see :func:`analyze_pairs`), so per-request reports sum
         exactly into server-lifetime totals.  The runner's own ``limits``/
-        ``cache``/``policy`` are ignored — the batch already owns those
-        choices; the batch is flushed but left open.
+        ``cache`` are ignored — the batch already owns those choices; the
+        batch is flushed but left open.
         """
         clock = stopwatch("suite.run_warm", {"workloads": len(self.items)})
         control = MetricsRegistry()
@@ -1427,8 +1418,8 @@ class ShardedSuiteRunner:
                     batch,
                     payload[1],
                     shard=payload[0],
-                    attempt=payload[6],
-                    census=payload[7],
+                    attempt=payload[5],
+                    census=payload[6],
                 )
                 payload = self._recover_poisoned(
                     output, control, attempts, allocate_index

@@ -1,4 +1,4 @@
-"""The persistent transfer-cache subsystem: codec, policies, backends, wiring."""
+"""The persistent transfer-cache subsystem: codec, LRU layer, disk store, wiring."""
 
 import json
 
@@ -19,25 +19,15 @@ from repro.cache import (
     CacheConfig,
     CacheDecodeError,
     DiskBackend,
-    MemoryBackend,
     PolicyCache,
     decode_entry,
     encode_entry,
     open_backend,
-    reset_memory_backends,
-    shared_memory_backend,
     transfer_key,
 )
 from repro.sil import ast
 from repro.workloads import generate_scenarios, load
 from repro.workloads.suite import source
-
-
-@pytest.fixture(autouse=True)
-def _isolated_memory_stores():
-    reset_memory_backends()
-    yield
-    reset_memory_backends()
 
 
 def sample_matrix(limits=None):
@@ -131,12 +121,8 @@ class TestCodec:
 
 
 class TestPolicyCache:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache policy"):
-            PolicyCache(4, policy="random")
-
     def test_lru_evicts_least_recently_used(self):
-        cache = PolicyCache(2, policy="lru")
+        cache = PolicyCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh a; b is now the victim
@@ -144,94 +130,22 @@ class TestPolicyCache:
         assert "b" not in cache and "a" in cache and "c" in cache
         assert cache.evictions == 1
 
-    def test_fifo_ignores_touches(self):
-        cache = PolicyCache(2, policy="fifo")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # does not refresh under fifo
-        cache.put("c", 3)
-        assert "a" not in cache and "b" in cache and "c" in cache
-
-    def test_lfu_evicts_least_frequent(self):
-        cache = PolicyCache(2, policy="lfu")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")
-        cache.get("a")
-        cache.get("b")
-        cache.put("c", 3)  # b has fewer hits than a
-        assert "b" not in cache and "a" in cache
-
-    def test_lfu_ties_break_towards_least_recent(self):
-        cache = PolicyCache(2, policy="lfu")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")
-        cache.get("b")  # equal frequency; a is older
-        cache.put("c", 3)
-        assert "a" not in cache and "b" in cache
-
     def test_put_of_existing_key_is_touch_only(self):
-        cache = PolicyCache(2, policy="lru")
+        cache = PolicyCache(2)
         cache.put("a", 1)
         assert cache.put("a", 99) == 0
         assert cache.get("a") == 1  # entries are immutable once admitted
 
     def test_remove_drops_without_counting_an_eviction(self):
-        cache = PolicyCache(2, policy="lfu")
+        cache = PolicyCache(2)
         cache.put("a", 1)
         assert cache.remove("a") is True
         assert cache.remove("a") is False
         assert "a" not in cache and cache.evictions == 0
-        # The lazy lfu heap tolerates removed keys on later evictions.
         cache.put("b", 2)
         cache.put("c", 3)
         cache.put("d", 4)
         assert len(cache) == 2 and cache.evictions == 1
-
-    def test_lfu_eviction_correct_under_heavy_touch_churn(self):
-        # Many touches per key exercise the lazy-deletion heap (every
-        # touch leaves a stale snapshot behind).
-        cache = PolicyCache(3, policy="lfu")
-        for key, touches in (("a", 5), ("b", 1), ("c", 3)):
-            cache.put(key, key)
-            for _ in range(touches):
-                cache.get(key)
-        cache.put("d", "d")  # victim must be b (fewest hits)
-        assert "b" not in cache
-        cache.get("d")
-        cache.get("d")
-        cache.put("e", "e")  # now c (3) < a (5), d (2) is fewer than both
-        assert "d" not in cache and "a" in cache and "c" in cache
-
-
-class TestMemoryBackend:
-    def test_write_then_get(self):
-        backend = MemoryBackend()
-        written, evicted = backend.write({"k1": "p1", "k2": "p2"})
-        assert (written, evicted) == (2, 0)
-        assert backend.get("k1") == "p1"
-        assert backend.get("missing") is None
-        stats = backend.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1 and stats["writes"] == 2
-
-    def test_rewrite_of_existing_key_counts_zero(self):
-        backend = MemoryBackend()
-        backend.write({"k": "p"})
-        assert backend.write({"k": "p"}) == (0, 0)
-
-    def test_shared_namespace_returns_same_store(self):
-        first = shared_memory_backend("ns")
-        second = shared_memory_backend("ns")
-        assert first is second
-        with pytest.raises(ValueError, match="already open with policy"):
-            shared_memory_backend("ns", policy="lfu")
-
-    def test_clear_resets(self):
-        backend = MemoryBackend()
-        backend.write({"k": "p"})
-        assert backend.clear() == 1
-        assert len(backend) == 0 and backend.stats()["writes"] == 0
 
 
 class TestDiskBackend:
@@ -251,22 +165,13 @@ class TestDiskBackend:
         store.close()
 
     def test_capacity_enforced_by_policy(self, tmp_path):
-        store = DiskBackend(str(tmp_path), policy="lru", capacity=2)
+        store = DiskBackend(str(tmp_path), capacity=2)
         store.write({"a": "1", "b": "2"})
         assert store.get("a") == "1"  # touch a in a later flush epoch
         written, evicted = store.write({"c": "3"})
         assert (written, evicted) == (1, 1)
         assert store.get("b") is None  # b was least recently used
         assert store.get("a") == "1" and store.get("c") == "3"
-        store.close()
-
-    def test_fifo_capacity_evicts_oldest_insertion(self, tmp_path):
-        store = DiskBackend(str(tmp_path), policy="fifo", capacity=2)
-        store.write({"a": "1", "b": "2"})
-        store.get("a")
-        store.write({"c": "3"})
-        # a is oldest by creation; its touch does not save it under fifo.
-        assert store.get("a") is None and store.get("b") == "2"
         store.close()
 
     def test_discard_reclassifies_the_hit_and_deletes_the_row(self, tmp_path):
@@ -282,15 +187,27 @@ class TestDiskBackend:
         assert store.get("bad") == "repaired"
         store.close()
 
-    def test_stats_report_the_policy_the_store_was_written_under(self, tmp_path):
-        store = DiskBackend(str(tmp_path), policy="lfu")
+    def test_store_with_a_policy_meta_row_still_opens(self, tmp_path):
+        # Stores written before LRU became the only order carry a 'policy'
+        # row in meta; they must open, serve and accept writes unchanged.
+        import sqlite3
+
+        from repro.cache import STORE_FILENAME
+
+        store = DiskBackend(str(tmp_path))
         store.write({"k": "p"})
         store.close()
-        # A later open with a different (e.g. default) policy — exactly what
-        # `repro cache stats` does — must still report the writer's policy.
-        reader = DiskBackend(str(tmp_path), policy="lru")
-        assert reader.stats()["policy"] == "lfu"
-        reader.close()
+        connection = sqlite3.connect(str(tmp_path / STORE_FILENAME))
+        connection.execute("INSERT INTO meta (key, value) VALUES ('policy', 'lfu')")
+        connection.commit()
+        connection.close()
+
+        reopened = DiskBackend(str(tmp_path))
+        assert reopened.get("k") == "p"
+        assert reopened.write({"k2": "p2"}) == (1, 0)
+        stats = reopened.stats()
+        assert stats["entries"] == 2 and stats["writes"] == 2
+        reopened.close()
 
     def test_stats_accumulate_across_sessions(self, tmp_path):
         store = DiskBackend(str(tmp_path))
@@ -311,20 +228,12 @@ class TestDiskBackend:
 class TestCacheConfig:
     def test_disk_requires_directory(self):
         with pytest.raises(ValueError, match="requires a directory"):
-            CacheConfig(backend="disk", directory=None).validated()
-
-    def test_unknown_backend_and_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            CacheConfig(backend="redis", directory="x").validated()
-        with pytest.raises(ValueError, match="unknown cache policy"):
-            CacheConfig(backend="memory", policy="mru").validated()
+            CacheConfig(directory=None).validated()
 
     def test_open_backend_dispatches(self, tmp_path):
-        disk = open_backend(CacheConfig(backend="disk", directory=str(tmp_path)))
+        disk = open_backend(CacheConfig(directory=str(tmp_path)))
         assert disk.kind == "disk"
         disk.close()
-        memory = open_backend(CacheConfig(backend="memory"))
-        assert memory.kind == "memory"
 
 
 class TestTransferCachePersistentTier:
@@ -333,9 +242,9 @@ class TestTransferCachePersistentTier:
         matrix.set("b", "c", PathSet.parse("L1"))
         return ast.CopyHandle(target="a", source="b"), matrix
 
-    def test_read_through_promotes_and_replays(self):
+    def test_read_through_promotes_and_replays(self, tmp_path):
         stmt, matrix = self.make_stmt_and_matrix()
-        backend = MemoryBackend()
+        backend = DiskBackend(str(tmp_path))
 
         cold_cache = TransferCache(capacity=64, backend=backend)
         cold = AnalysisStats()
@@ -355,21 +264,24 @@ class TestTransferCachePersistentTier:
         again = apply_basic_statement_cached(matrix.copy(), twin, cache=warm_cache, stats=warm)
         assert again is served
         assert warm.transfer_cache_hits == 2 and warm.persistent_cache_hits == 1
+        backend.close()
 
-    def test_pending_buffer_answers_before_flush(self):
+    def test_equal_statement_hits_memory_before_flush(self, tmp_path):
         # Same statement content at two distinct objects: the second lookup
-        # misses the id()-keyed memory layer but is deduplicated through
-        # the unflushed delta buffer.
+        # hits the content-keyed memory layer without consulting the store.
         stmt, matrix = self.make_stmt_and_matrix()
-        cache = TransferCache(capacity=64, backend=MemoryBackend())
+        backend = DiskBackend(str(tmp_path))
+        cache = TransferCache(capacity=64, backend=backend)
         stats = AnalysisStats()
-        apply_basic_statement_cached(matrix, stmt, cache=cache, stats=stats)
+        first = apply_basic_statement_cached(matrix, stmt, cache=cache, stats=stats)
         twin = ast.CopyHandle(target="a", source="b")
-        apply_basic_statement_cached(matrix.copy(), twin, cache=cache, stats=stats)
-        assert stats.persistent_cache_hits == 1
-        assert stats.transfer_cache_misses == 1
+        second = apply_basic_statement_cached(matrix.copy(), twin, cache=cache, stats=stats)
+        assert second is first
+        assert stats.transfer_cache_hits == 1 and stats.transfer_cache_misses == 1
+        assert stats.persistent_cache_hits == 0 and stats.persistent_cache_misses == 1
         written, _ = cache.flush(stats)
-        assert written == 1  # the dedup never produced a second delta
+        assert written == 1  # one computation, one delta
+        backend.close()
 
     def test_corrupt_store_entry_self_heals(self, tmp_path):
         # A payload that fails to decode must be discarded and re-admitted
@@ -379,7 +291,7 @@ class TestTransferCachePersistentTier:
         from repro.cache import STORE_FILENAME
 
         stmt, matrix = self.make_stmt_and_matrix()
-        config = CacheConfig(backend="disk", directory=str(tmp_path))
+        config = CacheConfig(directory=str(tmp_path))
         cold = BatchAnalyzer(limits=AnalysisLimits(), cache=config)
         reference = apply_basic_statement_cached(
             matrix, stmt, cache=cold.cache, stats=cold.stats
@@ -438,7 +350,7 @@ class TestWarmBatchAnalyzer:
 
     def test_warm_run_replays_widening_telemetry_exactly(self, tmp_path):
         program, info = self.deep_program()
-        config = CacheConfig(backend="disk", directory=str(tmp_path))
+        config = CacheConfig(directory=str(tmp_path))
 
         cold = BatchAnalyzer(cache=config)
         cold_result = cold.analyze(program, info)
@@ -460,7 +372,7 @@ class TestWarmBatchAnalyzer:
         from dataclasses import replace
 
         program, info = load("add_and_reverse", depth=3)
-        config = CacheConfig(backend="disk", directory=str(tmp_path))
+        config = CacheConfig(directory=str(tmp_path))
         cold = BatchAnalyzer(cache=config)
         reference = cold.analyze(program, info).canonical()
         cold.close()
@@ -472,29 +384,83 @@ class TestWarmBatchAnalyzer:
         assert warm.stats.transfer_cache_misses == 0
         warm.close()
 
-    def test_memory_backend_warms_across_batches_in_process(self):
-        program, info = load("tree_add", depth=3)
-        config = CacheConfig(backend="memory", directory="warm-test")
-        first = BatchAnalyzer(cache=config)
-        reference = first.analyze(program, info).canonical()
-        first.close()
-        second = BatchAnalyzer(cache=config)
-        assert second.analyze(program, info).canonical() == reference
-        assert second.stats.persistent_cache_hits > 0
+
+CALLER = """program {name}
+
+procedure main()
+  x, y, z: handle
+begin
+  x := new();
+  y := new();
+  x.left := y;
+  p(x);
+  z := x.left
+end
+
+procedure p(h: handle)
+  t: handle
+begin
+{body}
+end
+"""
+
+
+class TestContentKeyedMemo:
+    """The in-memory transfer memo keys on statement content, not identity."""
+
+    def test_reparsed_program_warms_across_batches_in_process(self):
+        # A second batch on the same TransferCache, fed a fresh parse (new
+        # statement objects), recomputes nothing: the memo keys on content.
+        from repro.analysis.reanalysis import cold_solve, result_digest
+        from repro.sil.normalize import parse_and_normalize
+
+        scenario = generate_scenarios(1, base_seed=7, families=["deep"])[0]
+        cold_digest, cold_widening = cold_solve(*parse_and_normalize(scenario.source))
+        first = BatchAnalyzer()
+        first.analyze(*parse_and_normalize(scenario.source))
+        second = BatchAnalyzer(transfer_cache=first.cache)
+        result = second.analyze(*parse_and_normalize(scenario.source))
         assert second.stats.transfer_cache_misses == 0
-        second.close()
+        assert second.stats.transfer_cache_hits > 0
+        assert result_digest(result) == cold_digest
+        assert any(cold_widening.values())  # deep scenarios widen at defaults
+        assert second.stats.widening_counters() == cold_widening
 
+    def test_equal_call_text_with_different_callees_stays_apart(self):
+        # Both programs reach ``p(x)`` with the same matrix, but only one
+        # ``p`` relinks its argument: a call's outcome depends on the
+        # callee's summary, so call sites must never share memo entries by
+        # their text alone.
+        from repro.analysis.reanalysis import cold_solve, result_digest
+        from repro.sil.normalize import parse_and_normalize
 
-class TestStandalonePolicySelection:
-    def test_batch_analyzer_policy_without_persistent_tier(self):
-        batch = BatchAnalyzer(policy="lfu")
-        assert batch.cache.policy == "lfu" and batch.cache.backend is None
+        relinks = CALLER.format(
+            name="relinks", body="  t := h.left;\n  h.left := nil;\n  h.right := t"
+        )
+        keeps = CALLER.format(name="keeps", body="  h.value := 1")
+        for order in ((relinks, keeps), (keeps, relinks)):
+            batch = BatchAnalyzer()
+            for text in order:
+                result = batch.analyze(*parse_and_normalize(text))
+                assert result_digest(result) == cold_solve(*parse_and_normalize(text))[0]
 
-    def test_cache_config_policy_still_applies_by_default(self, tmp_path):
-        config = CacheConfig(backend="disk", directory=str(tmp_path), policy="fifo")
-        batch = BatchAnalyzer(cache=config)
-        assert batch.cache.policy == "fifo"
-        batch.close()
+    def test_memory_key_separates_statement_kinds_with_equal_rendering(self):
+        # ``x := y`` renders alike as a handle copy and a scalar assign, but
+        # only the copy relates x to y; the in-memory key must keep them
+        # apart just as the persistent key does.
+        matrix = PathMatrix(["x", "y"])
+        matrix.set("y", "x", PathSet.parse("L1"))
+        matrix = matrix.seal()
+        copy_stmt = ast.CopyHandle(target="x", source="y")
+        scalar_stmt = ast.ScalarAssign(target="x", expr=ast.Name(ident="y"))
+        cache = TransferCache(capacity=64)
+        stats = AnalysisStats()
+        copied = apply_basic_statement_cached(matrix, copy_stmt, cache=cache, stats=stats)
+        scalar = apply_basic_statement_cached(matrix, scalar_stmt, cache=cache, stats=stats)
+        assert stats.transfer_cache_misses == 2 and stats.transfer_cache_hits == 0
+        assert copied.matrix == apply_basic_statement(matrix, copy_stmt).matrix
+        assert scalar.matrix == apply_basic_statement(matrix, scalar_stmt).matrix
+        assert copied.matrix != scalar.matrix
 
 
 class TestStatsRoundTrip:

@@ -1,16 +1,22 @@
-"""Targeted invalidation and compaction of the persistent transfer stores.
+"""Targeted invalidation of the transfer caches, and disk-store compaction.
 
-Both backends must honor the delete-by-statement-label contract that
-incremental re-analysis relies on: rows keyed by statements an edit
-removed are reclaimed, everything else stays warm, and rows written
-without labels (pre-label-tracking stores) are never matched.  The disk
-backend additionally supports generation-based compaction with VACUUM.
+The in-memory transfer layer and the disk store must both honor the
+delete-by-statement-label contract that incremental re-analysis relies
+on: entries keyed by statements an edit removed are reclaimed, everything
+else stays warm, and disk rows written without labels (pre-label-tracking
+stores) are never matched.  The disk store also supports generation-based
+compaction with VACUUM.
 """
 
 import sqlite3
 
+from repro.analysis.context import AnalysisStats
+from repro.analysis.matrix import PathMatrix
+from repro.analysis.pathset import PathSet
+from repro.analysis.transfer import TransferCache, apply_basic_statement_cached
 from repro.cache import STORE_FILENAME, DiskBackend
-from repro.cache.memory import MemoryBackend
+from repro.sil import ast
+from repro.sil.printer import statement_label
 
 
 def populate(backend):
@@ -21,27 +27,34 @@ def populate(backend):
 
 
 class TestMemoryInvalidation:
-    def test_invalidate_drops_only_matching_labels(self):
-        backend = MemoryBackend()
-        populate(backend)
-        dropped = backend.invalidate({"Assign|x := nil"})
-        assert dropped == 2
-        assert backend.get("key-a") is None
-        assert backend.get("key-b") is None
-        assert backend.get("key-c") == "payload-c"
-        assert backend.stats()["invalidations"] == 2
+    """The in-memory layer finds each entry's label from its content key."""
 
-    def test_unlabeled_rows_never_match(self):
-        backend = MemoryBackend()
-        backend.write({"bare": "payload"})
-        assert backend.invalidate({"Assign|x := nil"}) == 0
-        assert backend.get("bare") == "payload"
+    NIL = ast.AssignNil(target="x")
+    LOAD = ast.LoadField(target="y", source="x", field_name=ast.Field.LEFT)
+
+    def populated(self):
+        first = PathMatrix(["x", "y"]).seal()
+        second = PathMatrix(["x", "y"])
+        second.set("x", "y", PathSet.parse("L1"))
+        second = second.seal()
+        cache = TransferCache(capacity=64)
+        for matrix, stmt in ((first, self.NIL), (second, self.NIL), (first, self.LOAD)):
+            apply_basic_statement_cached(matrix, stmt, cache=cache)
+        return cache, first
+
+    def test_invalidate_drops_only_matching_labels(self):
+        cache, matrix = self.populated()
+        assert cache.invalidate_statements({statement_label(self.NIL)}) == 2
+        assert len(cache) == 1
+        stats = AnalysisStats()
+        apply_basic_statement_cached(matrix, self.LOAD, cache=cache, stats=stats)
+        apply_basic_statement_cached(matrix, self.NIL, cache=cache, stats=stats)
+        assert stats.transfer_cache_hits == 1 and stats.transfer_cache_misses == 1
 
     def test_empty_label_set_is_a_noop(self):
-        backend = MemoryBackend()
-        populate(backend)
-        assert backend.invalidate(set()) == 0
-        assert len(backend) == 3
+        cache, _ = self.populated()
+        assert cache.invalidate_statements(set()) == 0
+        assert len(cache) == 3
 
 
 class TestDiskInvalidation:
@@ -53,6 +66,15 @@ class TestDiskInvalidation:
             assert backend.get("key-c") is None
             assert backend.get("key-a") == "payload-a"
             assert backend.stats()["invalidations"] == 1
+        finally:
+            backend.close()
+
+    def test_unlabeled_rows_never_match(self, tmp_path):
+        backend = DiskBackend(str(tmp_path))
+        try:
+            backend.write({"bare": "payload"})
+            assert backend.invalidate({"Assign|x := nil"}) == 0
+            assert backend.get("bare") == "payload"
         finally:
             backend.close()
 

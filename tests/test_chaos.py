@@ -43,7 +43,6 @@ if SRC not in sys.path:
 
 from repro.cache.backend import CacheConfig
 from repro.cache.disk import DiskBackend, STORE_FILENAME
-from repro.cache.memory import shared_memory_backend
 from repro.faults import (
     FAULT_KINDS,
     FaultPlan,
@@ -251,7 +250,7 @@ class TestShardRecovery:
 
 
 def _disk_config(tmp_path):
-    return CacheConfig(backend="disk", directory=str(tmp_path / "store"))
+    return CacheConfig(directory=str(tmp_path / "store"))
 
 
 class TestCorruptPayloadQuarantine:
@@ -283,29 +282,6 @@ class TestCorruptPayloadQuarantine:
             assert stats["misses"] >= total
         finally:
             backend.close()
-
-    def test_memory_store_corruption_is_quarantined(self, baseline):
-        namespace = f"chaos-{uuid.uuid4().hex}"
-        cache = CacheConfig(backend="memory", directory=namespace)
-        cold = ShardedSuiteRunner.from_names(NAMES, shards=1, cache=cache).run()
-        assert cold.results_digest() == baseline.results_digest()
-
-        backend = shared_memory_backend(namespace)
-        keys = [key for key, _ in backend._store.items()]
-        assert keys
-        for key in keys:
-            # put() is touch-only for resident keys: evict, then re-admit
-            # the poisoned payload.
-            backend._store.remove(key)
-            backend._store.put(key, "garbage payload")
-        assert backend._store.get(keys[0]) == "garbage payload"
-
-        warm = ShardedSuiteRunner.from_names(NAMES, shards=1, cache=cache).run()
-        assert not warm.failures
-        assert warm.results_digest() == baseline.results_digest()
-        assert warm.metrics.counter("cache.quarantined_total").value == len(keys)
-        for key in keys:  # the bad entries are gone from the store
-            assert backend._store.get(key) != "garbage payload"
 
 
 class TestDiskRetries:

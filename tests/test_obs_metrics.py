@@ -86,18 +86,44 @@ class TestQuantiles:
         histogram = Histogram("h", boundaries=(0.0, 1.0))
         for _ in range(4):
             histogram.observe(0.5)
-        # All mass in (0, 1]: the median interpolates to the bucket midpoint.
+        # All mass in (0, 1]: the median interpolates to the bucket midpoint,
+        # and no quantile exceeds the largest observation.
         assert histogram.quantile(0.5) == 0.5
-        assert histogram.quantile(1.0) == 1.0
+        assert histogram.quantile(1.0) == 0.5
 
     def test_overflow_clamps_to_last_boundary(self):
         histogram = Histogram("h", boundaries=(1.0, 2.0))
+        histogram.observe(0.5)
         histogram.observe(50.0)
-        assert histogram.quantile(0.5) == 2.0
+        assert histogram.quantile(0.9) == 2.0
+
+    def test_single_sample_quantiles_are_the_sample(self):
+        # One 13.5 ms observation in the (10 ms, 25 ms] bucket: interpolating
+        # across the bucket would report p50 = 17.5 ms and p99 = 24.85 ms.
+        histogram = Histogram("h", DEFAULT_LATENCY_BUCKETS)
+        histogram.observe(0.0135)
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            assert histogram.quantile(q) == 0.0135
+        overflow = Histogram("h", boundaries=(1.0, 2.0))
+        overflow.observe(50.0)
+        assert overflow.quantile(0.5) == 50.0
+
+    def test_extremes_are_exact_and_merge(self):
+        shard_a = MetricsRegistry()
+        shard_b = MetricsRegistry()
+        shard_a.histogram("h").observe(0.004)
+        shard_b.histogram("h").observe(0.0001)
+        shard_b.histogram("h").observe(3.0)
+        (merged,) = shard_a.merge(shard_b).histograms("h")
+        assert (merged.min_ns, merged.max_ns) == (100_000, 3_000_000_000)
+        clone = MetricsRegistry.from_dict(shard_a.merge(shard_b).as_dict())
+        (round_tripped,) = clone.histograms("h")
+        assert (round_tripped.min_ns, round_tripped.max_ns) == (100_000, 3_000_000_000)
 
     def test_empty_histogram(self):
         assert Histogram("h").quantile(0.99) == 0.0
         assert Histogram("h").mean() == 0.0
+        assert Histogram("h").min_ns is None and Histogram("h").max_ns is None
 
     def test_merged_quantiles_equal_union_quantiles(self):
         shard_a = MetricsRegistry()
